@@ -19,7 +19,7 @@ HEADLINE_BENCH := 'BenchmarkRumorSpreading($$|Huge)|BenchmarkPhase(Batch|Paralle
 # specific point.
 BENCH_N ?= $(shell i=1; while [ -e BENCH_$$i.json ]; do i=$$((i+1)); done; echo $$i)
 
-.PHONY: build vet lint test race sweep-smoke obs-smoke chaos bench-quick bench-json profile check clean
+.PHONY: build vet lint test race sweep-smoke obs-smoke chaos fuzz perfbench-test bench-quick bench-json profile check clean
 
 build:
 	$(GO) build ./...
@@ -75,14 +75,30 @@ obs-smoke:
 	$(GO) test -run TestObsSmoke -count=1 -v ./cmd/sweep
 
 # chaos is the fault-injection gate: deterministic seeded faults
-# (torn checkpoint writes, 1-in-N trial panics, a shard file torn
-# mid-line, dropped law-cache stores) against the sharded sweep
-# workflow, asserting the merged result stays byte-identical to a
-# fault-free single-host run at 1 and 8 workers. Runs under -race and
+# (torn checkpoint writes, a shard file torn mid-line, dropped
+# law-cache stores) against the sharded sweep workflow, asserting the
+# merged result stays byte-identical to a fault-free single-host run
+# at 1 and 8 workers, and that a trial panic quarantines its point on
+# the first attempt and is recomputed on resume. Runs under -race and
 # -count=1: the injectors are stateful, so cached results are
 # meaningless.
 chaos:
 	$(GO) test -race -run 'TestChaos' -count=1 ./internal/sweep ./cmd/sweep
+
+# fuzz runs each fuzz target past its committed seed corpus
+# (testdata/fuzz/<target>/, which plain `go test` replays). CI runs it
+# at FUZZTIME=10s; a crasher lands in testdata/fuzz as a regression
+# case.
+FUZZTIME ?= 30s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpointFile$$' -fuzztime $(FUZZTIME) ./internal/sweep
+
+# perfbench is a nested module (the repo benchmark, see BENCHMARK.json),
+# so `go build ./...` and `go test ./...` never compile it; vet and
+# self-test it here so an API change it depends on cannot slip past.
+perfbench-test:
+	$(GO) -C perfbench vet .
+	$(GO) -C perfbench test .
 
 bench-quick:
 	$(GO) test -run '^$$' -bench $(QUICK_BENCH) -benchtime 1x ./...
@@ -117,7 +133,7 @@ profile:
 	    -o profiles/sweep.test ./internal/sweep
 	@echo "profiles written to profiles/; inspect with: go tool pprof -top profiles/census_cpu.prof"
 
-check: build lint race sweep-smoke obs-smoke chaos bench-quick
+check: build lint race sweep-smoke obs-smoke chaos perfbench-test bench-quick
 
 clean:
 	$(GO) clean ./...

@@ -227,9 +227,9 @@ func derive(rep *Report) {
 		add("obs_overhead_pct", 100*(sweepPointsPerSec/sweepPointsPerSecObs-1))
 	}
 	// Resilience-seam overhead: the exact grid with a never-firing
-	// fault injector and the default retry policy armed on every site
-	// (BenchmarkSweepGridPointsResil vs the uninstrumented headline),
-	// in percent. The robustness contract budgets this at ≤ 2.
+	// fault injector armed on every site (BenchmarkSweepGridPointsResil
+	// vs the uninstrumented headline), in percent. The robustness
+	// contract budgets this at ≤ 2.
 	if sweepPointsPerSec > 0 && sweepPointsPerSecResil > 0 {
 		add("resilience_overhead_pct", 100*(sweepPointsPerSec/sweepPointsPerSecResil-1))
 	}

@@ -10,7 +10,7 @@ import (
 // DetCallAnalyzer closes the cross-package escape hatch the syntactic
 // determinism pass leaves open: that pass flags nondeterminism
 // sources (map ranges, wall-clock reads and sleeps, math/rand, append
-// fan-in, obs.WallClock/WallSleeper literals) only in the file that
+// fan-in, obs.WallClock literals) only in the file that
 // contains them, so a
 // deterministic package calling a helper in an un-annotated package
 // that ranges a map was invisible. detcall computes a
@@ -137,8 +137,8 @@ func directTaint(pass *Pass, body *ast.BlockStmt) (bool, string) {
 				}
 			}
 		case *ast.CompositeLit:
-			if name := obsWallType(pass.TypeOf(n)); name != "" {
-				mark(n, "constructs obs."+name)
+			if isObsWallClock(pass.TypeOf(n)) {
+				mark(n, "constructs obs.WallClock")
 			}
 		case *ast.GoStmt:
 			for _, shared := range goroutineSharedAppends(pass, n) {

@@ -20,18 +20,16 @@ import (
 //  3. calling time.Now / time.Since / time.Sleep on result paths —
 //     wall-clock values must never reach results, and wall-clock
 //     pauses gate result production on the scheduler (harness timing
-//     and pacing live outside deterministic packages; retry backoff
-//     waits through an injected obs.Sleeper);
+//     and any waiting live outside deterministic packages);
 //  4. goroutine fan-in that appends to a shared slice — completion
 //     order decides element order; workers must write index-keyed
 //     slots instead;
-//  5. constructing obs.WallClock or obs.WallSleeper — the two
-//     internal/obs types that touch the wall clock. Deterministic
-//     packages may hold and use an injected obs.Clock or obs.Sleeper
-//     (timing through obs.Now/obs.SinceSeconds and pacing through
-//     obs.Sleep are the blessed patterns, write-only by the
-//     DESIGN.md §2 contract), but choosing the wall implementations
-//     is the harness's call, made outside these packages.
+//  5. constructing obs.WallClock — the internal/obs type that reads
+//     the wall clock. Deterministic packages may hold and use an
+//     injected obs.Clock (timing through obs.Now/obs.SinceSeconds is
+//     the blessed pattern, write-only by the DESIGN.md §2 contract),
+//     but choosing the wall implementation is the harness's call,
+//     made outside these packages.
 //
 // Floating-point accumulation order is NOT checked here: the repo's
 // parallel merges are already index-keyed, and a sound check needs
@@ -65,12 +63,11 @@ func runDeterminism(pass *Pass) error {
 				case "time.Now", "time.Since":
 					pass.Reportf(n.Pos(), "%s in a deterministic package: wall-clock values must not reach results; accept an injected obs.Clock and read it via obs.Now / obs.SinceSeconds, leaving obs.WallClock to the harness", name)
 				case "time.Sleep":
-					pass.Reportf(n.Pos(), "time.Sleep in a deterministic package: wall-clock pauses gate results on the scheduler; accept an injected obs.Sleeper and wait via obs.Sleep, leaving obs.WallSleeper to the harness")
+					pass.Reportf(n.Pos(), "time.Sleep in a deterministic package: wall-clock pauses gate results on the scheduler; leave any waiting to the harness")
 				}
 			case *ast.CompositeLit:
-				if name := obsWallType(pass.TypeOf(n)); name != "" {
-					iface := map[string]string{"WallClock": "Clock", "WallSleeper": "Sleeper"}[name]
-					pass.Reportf(n.Pos(), "obs.%s constructed in a deterministic package: the wall implementation is the harness's choice; accept an injected obs.%s instead", name, iface)
+				if isObsWallClock(pass.TypeOf(n)) {
+					pass.Reportf(n.Pos(), "obs.WallClock constructed in a deterministic package: the wall implementation is the harness's choice; accept an injected obs.Clock instead")
 				}
 			case *ast.GoStmt:
 				checkGoroutineAppend(pass, n)
@@ -155,24 +152,16 @@ func goroutineSharedAppends(pass *Pass, g *ast.GoStmt) []sharedAppend {
 	return out
 }
 
-// obsWallType returns "WallClock" or "WallSleeper" when t is one of
-// internal/obs's two wall-touching implementations — recognized by
-// name and defining package so the check survives vendoring or module
-// renames — and "" otherwise.
-func obsWallType(t types.Type) string {
+// isObsWallClock reports whether t is internal/obs's wall-clock
+// implementation, recognized by name and defining package so the
+// check survives vendoring or module renames.
+func isObsWallClock(t types.Type) bool {
 	named, ok := types.Unalias(t).(*types.Named)
 	if !ok {
-		return ""
+		return false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || !strings.HasSuffix(obj.Pkg().Path(), "internal/obs") {
-		return ""
-	}
-	switch obj.Name() {
-	case "WallClock", "WallSleeper":
-		return obj.Name()
-	}
-	return ""
+	return obj.Name() == "WallClock" && obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "internal/obs")
 }
 
 func isBuiltinAppend(pass *Pass, call *ast.CallExpr) bool {

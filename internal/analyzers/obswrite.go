@@ -46,10 +46,10 @@ var obsWriteMethods = map[string]bool{
 
 // obsAllowedFuncs is the package-level allowlist: constructors (the
 // values they return are only as readable as their method sets) and
-// the injected-clock/sleeper helpers, which consume a Clock or
-// Sleeper without exposing instrument state.
+// the injected-clock helpers, which consume a Clock without exposing
+// instrument state.
 var obsAllowedFuncs = map[string]bool{
-	"Now": true, "SinceSeconds": true, "Sleep": true,
+	"Now": true, "SinceSeconds": true,
 	"F": true, "LogBuckets": true,
 	"NewRegistry": true, "NewTracer": true,
 }
@@ -86,11 +86,8 @@ func runObsWrite(pass *Pass) error {
 				return true
 			}
 			hint := "instruments are write-only in deterministic packages: a read couples results to observability state; compute the quantity from simulation state instead, or justify with //nrlint:allow obswrite -- <reason>"
-			switch fn.Name() {
-			case "Now":
+			if fn.Name() == "Now" {
 				hint = "read the injected clock through obs.Now(clock) so the helper seam stays the only clock access path"
-			case "Sleep":
-				hint = "pause through obs.Sleep(sleeper, d) so the helper seam stays the only pacing path (and a nil Sleeper stays a no-op)"
 			}
 			pass.Reportf(call.Pos(), "%s.%s() reads obs state in a deterministic package: %s", exprString(sel.X), fn.Name(), hint)
 			return true
@@ -119,7 +116,7 @@ func obsMethod(pass *Pass, sel *ast.SelectorExpr) *types.Func {
 }
 
 // isObsPkg reports whether pkg is internal/obs (suffix-matched so the
-// check survives module renames, mirroring obsWallType).
+// check survives module renames, mirroring isObsWallClock).
 func isObsPkg(pkg *types.Package) bool {
 	return pkg != nil && strings.HasSuffix(pkg.Path(), "internal/obs")
 }

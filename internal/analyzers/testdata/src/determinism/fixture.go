@@ -69,17 +69,9 @@ func sleepPositive() {
 	time.Sleep(time.Millisecond) // want `time.Sleep in a deterministic package`
 }
 
-func wallSleeperConstructPositive() obs.Sleeper {
-	return obs.WallSleeper{} // want `obs.WallSleeper constructed in a deterministic package`
-}
-
 func clockInjectionNegative(c obs.Clock) float64 {
 	start := obs.Now(c) // injected clock read through obs helpers: no finding
 	return obs.SinceSeconds(c, start)
-}
-
-func sleeperInjectionNegative(s obs.Sleeper) {
-	obs.Sleep(s, time.Millisecond) // injected sleeper through obs.Sleep: no finding
 }
 
 func manualClockNegative() obs.Clock {

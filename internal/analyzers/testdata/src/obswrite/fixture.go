@@ -21,7 +21,6 @@ type engine struct {
 	latency *obs.Histogram
 	tracer  *obs.Tracer
 	clock   obs.Clock
-	sleeper obs.Sleeper
 }
 
 func writesNegative(e *engine, reg *obs.Registry) {
@@ -46,14 +45,6 @@ func spansNegative(e *engine) {
 func injectedClockNegative(e *engine) float64 {
 	start := obs.Now(e.clock) // blessed helper: no finding
 	return obs.SinceSeconds(e.clock, start)
-}
-
-func injectedSleeperNegative(e *engine) {
-	obs.Sleep(e.sleeper, 1e6) // blessed helper: no finding
-}
-
-func directSleeperPositive(e *engine) {
-	e.sleeper.Sleep(1e6) // want `pause through obs\.Sleep\(sleeper, d\)`
 }
 
 func counterReadPositive(e *engine) int64 {

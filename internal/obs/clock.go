@@ -44,37 +44,6 @@ func (m *ManualClock) Now() int64 { return m.t.Load() }
 // Advance moves the clock forward by d nanoseconds.
 func (m *ManualClock) Advance(d int64) { m.t.Add(d) }
 
-// Sleeper is the injected pacing source, the Clock's write-side twin:
-// deterministic packages never call time.Sleep themselves (nrlint
-// flags it); any waiting they do — retry backoff, rate pacing — flows
-// through a Sleeper handed in by the harness layer and is read via
-// obs.Sleep. A nil Sleeper is the "no waiting" configuration: backoff
-// delays are computed (and observable) but not slept, which is what
-// keeps retry-heavy tests fast and deterministic runs schedule-free.
-type Sleeper interface {
-	Sleep(d time.Duration)
-}
-
-// WallSleeper really sleeps. Construct it at the harness boundary (a
-// CLI, a test) and inject it; constructing it inside a deterministic
-// package is an nrlint determinism finding, exactly as for WallClock.
-type WallSleeper struct{}
-
-// Sleep blocks for d.
-func (WallSleeper) Sleep(d time.Duration) {
-	if d > 0 {
-		time.Sleep(d)
-	}
-}
-
-// Sleep pauses on s, treating a nil Sleeper (or a non-positive
-// duration) as no pause.
-func Sleep(s Sleeper, d time.Duration) {
-	if s != nil && d > 0 {
-		s.Sleep(d)
-	}
-}
-
 // Now reads c, treating a nil Clock as the zero clock.
 func Now(c Clock) int64 {
 	if c == nil {

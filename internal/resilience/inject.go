@@ -31,8 +31,7 @@ func Fire(fi FaultInjector, site string) error {
 // Site prefix matches the fired site decides that site's fate.
 type Rule struct {
 	// Site is a prefix matched against fired site names ("trial/"
-	// matches every trial attempt, "checkpoint/put/" every point
-	// write).
+	// matches every trial, "checkpoint/put/" every point write).
 	Site string
 	// OneIn selects which matching sites fault: a site faults iff
 	// hash(seed, site) % OneIn == 0. Values below 2 fault every
@@ -41,7 +40,8 @@ type Rule struct {
 	OneIn uint64
 	// Fails bounds how many times each individual site faults (0 means
 	// 1); past the budget the site passes, which is what lets bounded
-	// retries drive a chaos run to the fault-free result.
+	// checkpoint I/O retries, or a resume, drive a chaos run to the
+	// fault-free result.
 	Fails int
 	// Permanent classifies the injected error (default Transient);
 	// Panic panics with an InjectedPanic instead of returning, the
@@ -58,8 +58,8 @@ func (p InjectedPanic) String() string { return "injected panic at " + p.Site }
 
 // SeededInjector is the deterministic FaultInjector for chaos tests:
 // which sites fault is a pure function of (seed, site name), and each
-// site's fault count is budgeted so retries eventually succeed. Safe
-// for concurrent use.
+// site's fault count is budgeted so a retry or resume eventually
+// succeeds. Safe for concurrent use.
 type SeededInjector struct {
 	seed  uint64
 	rules []Rule

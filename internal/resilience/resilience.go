@@ -1,28 +1,21 @@
 // Package resilience is the fault-tolerance layer of the sweep
 // runtime: typed transient-vs-permanent error classification, a
-// bounded retry policy with decorrelated-jitter backoff, a breaker
-// that halts runaway failure streaks, and a deterministic fault
-// injector for chaos tests.
+// bounded immediate retry for checkpoint I/O, a breaker that halts
+// runaway failure streaks, and a deterministic fault injector for
+// chaos tests.
 //
 // The package is deterministic-safe by construction, which is what
 // lets //nrlint:deterministic packages (internal/sweep above all)
 // thread it through their hot paths without weakening the
-// bit-identical-results contract:
-//
-//   - backoff jitter is drawn from an injected internal/rng stream,
-//     never math/rand, so the delay sequence is a pure function of the
-//     caller's seed;
-//   - waiting flows through an injected obs.Sleeper via obs.Sleep —
-//     never time.Sleep — and a nil Sleeper computes delays without
-//     sleeping at all, so retried runs produce the same results as
-//     patient ones;
-//   - fault decisions (SeededInjector) hash the site name against a
-//     seed, never scheduling order, so a chaos run fires the same
-//     faults at any worker count.
+// bit-identical-results contract: nothing here reads the clock,
+// waits, or draws randomness, and fault decisions (SeededInjector)
+// hash the site name against a seed, never scheduling order, so a
+// chaos run fires the same faults at any worker count.
 //
 // Classification contract: an error wrapped by Transient is worth
-// retrying (I/O hiccups, injected soft faults, recovered panics); one
-// wrapped by Permanent is not, but the failing unit of work can be
+// retrying where a retry can help (checkpoint I/O); one wrapped by
+// Permanent is not. Either way a failing unit of work — a sweep
+// trial, which replays identically and so is never retried — is
 // quarantined and the run continued. An error that is neither is a
 // configuration or spec error — callers abort on it immediately, so
 // bad inputs keep surfacing up front instead of being retried into

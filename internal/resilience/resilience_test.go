@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
-
-	"github.com/gossipkit/noisyrumor/internal/rng"
 )
 
 func TestClassification(t *testing.T) {
@@ -42,9 +39,8 @@ func TestClassification(t *testing.T) {
 }
 
 func TestDoRetriesTransient(t *testing.T) {
-	p := Policy{Attempts: 4, BaseDelay: time.Millisecond, MaxDelay: 8 * time.Millisecond}
 	calls := 0
-	err := p.Do(rng.New(1), func(a int) error {
+	err := Retry(4, func(a int) error {
 		if a != calls {
 			t.Errorf("attempt %d reported as %d", calls, a)
 		}
@@ -68,7 +64,7 @@ func TestDoStopsOnPermanentAndUnclassified(t *testing.T) {
 		{"unclassified", errors.New("bad spec")},
 	} {
 		calls := 0
-		err := Policy{Attempts: 5}.Do(rng.New(1), func(int) error { calls++; return tc.err })
+		err := Retry(5, func(int) error { calls++; return tc.err })
 		if calls != 1 {
 			t.Errorf("%s: %d calls, want 1 (no retry)", tc.name, calls)
 		}
@@ -80,7 +76,7 @@ func TestDoStopsOnPermanentAndUnclassified(t *testing.T) {
 
 func TestDoExhaustsBudget(t *testing.T) {
 	calls := 0
-	err := Policy{Attempts: 3}.Do(rng.New(1), func(int) error {
+	err := Retry(3, func(int) error {
 		calls++
 		return Transient(errors.New("still flaky"))
 	})
@@ -95,69 +91,15 @@ func TestDoExhaustsBudget(t *testing.T) {
 	}
 }
 
+// TestZeroPolicyRunsOnce: a non-positive attempt count still runs fn
+// exactly once.
 func TestZeroPolicyRunsOnce(t *testing.T) {
 	calls := 0
-	if err := (Policy{}).Do(nil, func(int) error { calls++; return Transient(errors.New("x")) }); err == nil {
+	if err := Retry(0, func(int) error { calls++; return Transient(errors.New("x")) }); err == nil {
 		t.Error("want error through")
 	}
 	if calls != 1 {
 		t.Errorf("%d calls, want 1", calls)
-	}
-}
-
-// recordingSleeper captures the delays a policy actually sleeps.
-type recordingSleeper struct{ delays []time.Duration }
-
-func (r *recordingSleeper) Sleep(d time.Duration) { r.delays = append(r.delays, d) }
-
-func TestBackoffJitterDeterministicAndBounded(t *testing.T) {
-	run := func(seed uint64) []time.Duration {
-		s := &recordingSleeper{}
-		p := Policy{Attempts: 6, BaseDelay: 2 * time.Millisecond, MaxDelay: 20 * time.Millisecond, Sleeper: s}
-		var observed []time.Duration
-		p.OnBackoff = func(attempt int, d time.Duration) { observed = append(observed, d) }
-		_ = p.Do(rng.New(seed), func(int) error { return Transient(errors.New("flaky")) })
-		if len(observed) != len(s.delays) {
-			t.Fatalf("OnBackoff saw %d delays, sleeper %d", len(observed), len(s.delays))
-		}
-		for i := range observed {
-			if observed[i] != s.delays[i] {
-				t.Fatalf("OnBackoff delay %v != slept %v", observed[i], s.delays[i])
-			}
-		}
-		return s.delays
-	}
-	a, b := run(7), run(7)
-	if len(a) != 5 {
-		t.Fatalf("6 attempts should back off 5 times, got %d", len(a))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed must give the same delay sequence: %v vs %v", a, b)
-		}
-		if a[i] < 2*time.Millisecond || a[i] > 20*time.Millisecond {
-			t.Errorf("delay %v outside [base, cap]", a[i])
-		}
-	}
-	if c := run(8); len(c) == len(a) {
-		same := true
-		for i := range a {
-			if a[i] != c[i] {
-				same = false
-			}
-		}
-		if same {
-			t.Error("different seeds should jitter differently")
-		}
-	}
-}
-
-func TestNilSleeperComputesButNeverSleeps(t *testing.T) {
-	p := Policy{Attempts: 3, BaseDelay: time.Hour} // would hang with a real sleeper
-	start := time.Now()
-	_ = p.Do(rng.New(1), func(int) error { return Transient(errors.New("flaky")) })
-	if time.Since(start) > time.Second {
-		t.Fatal("nil sleeper must not sleep")
 	}
 }
 

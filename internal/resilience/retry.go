@@ -1,65 +1,22 @@
 package resilience
 
-import (
-	"fmt"
-	"time"
+import "fmt"
 
-	"github.com/gossipkit/noisyrumor/internal/obs"
-	"github.com/gossipkit/noisyrumor/internal/rng"
-)
-
-// Policy is a bounded retry policy with decorrelated-jitter
-// exponential backoff. The zero value runs the operation once with no
-// retries and no waiting; DefaultPolicy is the tuned default the
-// sweep layer uses.
-type Policy struct {
-	// Attempts bounds the total tries (first call included); values
-	// below 1 mean 1.
-	Attempts int
-	// BaseDelay seeds the backoff; 0 disables waiting entirely (delays
-	// compute to 0). MaxDelay caps each delay (0 = uncapped).
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
-	// Sleeper realizes the computed delays. nil computes them without
-	// sleeping — the deterministic-test and chaos configuration; the
-	// harness injects obs.WallSleeper{} for real runs.
-	Sleeper obs.Sleeper
-	// OnBackoff, when non-nil, observes each backoff before it is
-	// slept: attempt is the 1-based retry about to run. Write-only
-	// telemetry by contract — it must not influence the caller.
-	OnBackoff func(attempt int, delay time.Duration)
-}
-
-// DefaultPolicy is the sweep layer's retry shape: up to 4 attempts,
-// 5ms base, 250ms cap, no sleeper (the harness injects one).
-func DefaultPolicy() Policy {
-	return Policy{Attempts: 4, BaseDelay: 5 * time.Millisecond, MaxDelay: 250 * time.Millisecond}
-}
-
-// Do runs fn until it succeeds, returns a non-transient error, or the
-// attempt budget is spent. fn receives the 0-based attempt number.
-// Backoff delays between attempts use decorrelated jitter drawn from
-// jitter (delay ~ uniform[base, 3·prev], capped), so the delay
-// sequence is a pure function of the stream's seed; a nil jitter
-// stream takes the deterministic upper envelope. Permanent and
-// unclassified errors return immediately; a spent budget returns the
-// last error wrapped with the attempt count (classification intact
-// through the wrap).
-func (p Policy) Do(jitter *rng.Rand, fn func(attempt int) error) error {
-	attempts := p.Attempts
+// Retry runs fn until it succeeds, returns a non-transient error, or
+// attempts tries (values below 1 mean 1) are spent. fn receives the
+// 0-based attempt number. Retries follow at once: there is no
+// backoff, because the only caller is a single process's own local
+// journal, where a fault either clears on the next try or persists
+// past any wait (ENOSPC, EROFS) and is recovered by resume instead.
+// Permanent and unclassified errors return immediately; a spent
+// budget returns the last error wrapped with the attempt count
+// (classification intact through the wrap).
+func Retry(attempts int, fn func(attempt int) error) error {
 	if attempts < 1 {
 		attempts = 1
 	}
-	prev := p.BaseDelay
 	var err error
 	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			d := p.backoff(jitter, &prev)
-			if p.OnBackoff != nil {
-				p.OnBackoff(a, d)
-			}
-			obs.Sleep(p.Sleeper, d)
-		}
 		if err = fn(a); err == nil {
 			return nil
 		}
@@ -68,28 +25,4 @@ func (p Policy) Do(jitter *rng.Rand, fn func(attempt int) error) error {
 		}
 	}
 	return fmt.Errorf("resilience: %d attempts exhausted: %w", attempts, err)
-}
-
-// backoff computes the next decorrelated-jitter delay and advances
-// *prev to it.
-func (p Policy) backoff(jitter *rng.Rand, prev *time.Duration) time.Duration {
-	base := p.BaseDelay
-	if base <= 0 {
-		return 0
-	}
-	d := base
-	//nrlint:allow overflow -- prev ≤ base·3^Attempts with small bounded Attempts (and ≤ MaxDelay once capped), so 3·prev ≪ 2⁶³ ns ≈ 292 years
-	if hi := 3 * *prev; hi > base {
-		if jitter != nil {
-			//nrlint:allow overflow -- Float64 < 1 keeps the sum below hi, itself bounded above
-			d = base + time.Duration(jitter.Float64()*float64(hi-base))
-		} else {
-			d = hi
-		}
-	}
-	if p.MaxDelay > 0 && d > p.MaxDelay {
-		d = p.MaxDelay
-	}
-	*prev = d
-	return d
 }

@@ -115,9 +115,10 @@ func BenchmarkSweepBisect(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepGridPointsResil is the exact-law grid with the full
+// BenchmarkSweepGridPointsResil is the exact-law grid with the
 // resilience seam armed but never firing: a no-rule SeededInjector on
-// every fault site plus the default retry policy. benchjson derives
+// every fault site, so each trial pays its panic containment and its
+// trial/<p>/<t> fault check. benchjson derives
 // resilience_overhead_pct from this and the uninstrumented headline;
 // the robustness contract budgets the always-on seam at ≤ 2%.
 func BenchmarkSweepGridPointsResil(b *testing.B) {

@@ -12,15 +12,16 @@ import (
 )
 
 // chaosRules is the standard fault storm: flaky checkpoint opens and
-// writes, trial attempts that panic mid-work, and a law cache whose
-// stores fail. Every fault is transient with a bounded per-site
-// budget, so retries and salvage must drive the run to the fault-free
-// result — the chaos suite's core assertion.
+// writes, and a law cache whose stores fail. Every fault is transient
+// with a bounded per-site budget, so I/O retries and salvage must drive
+// the run to the fault-free result — the chaos suite's core assertion.
+// Trial faults are not part of the storm: a trial is never retried, so
+// its fault quarantines the point instead (see
+// TestChaosTrialPanicQuarantinesOnFirstAttempt).
 func chaosRules() []resilience.Rule {
 	return []resilience.Rule{
 		{Site: "checkpoint/open", Fails: 1},
 		{Site: "checkpoint/put/", OneIn: 3, Fails: 2},
-		{Site: "trial/", OneIn: 7, Fails: 1, Panic: true},
 		{Site: "lawcache/store", Fails: 3},
 	}
 }
@@ -46,10 +47,10 @@ func mustRead(t *testing.T, path string) []byte {
 
 // TestChaosShardedGridMergeByteIdentical is the headline robustness
 // contract: two shard runs under a deterministic fault storm — flaky
-// writes, panicking trials, a failing law cache, plus a simulated
-// crash that tears one shard's journal mid-entry — must, after
-// retries, salvage and a strict merge, produce a checkpoint
-// byte-identical to the fault-free single-host run. At 1 and 8 workers.
+// opens and writes, a failing law cache, plus a simulated crash that
+// tears one shard's journal mid-entry — must, after retries, salvage
+// and a strict merge, produce a checkpoint byte-identical to the
+// fault-free single-host run. At 1 and 8 workers.
 func TestChaosShardedGridMergeByteIdentical(t *testing.T) {
 	g := chaosGrid()
 	dir := t.TempDir()
@@ -258,6 +259,47 @@ func TestChaosQuarantineContainsPermanentFault(t *testing.T) {
 	}
 	if !bytes.Equal(mustRead(t, path), mustRead(t, refPath)) {
 		t.Fatal("journal after quarantine resume differs from reference bytes")
+	}
+}
+
+// TestChaosTrialPanicQuarantinesOnFirstAttempt: a trial replays
+// identically, so a panicking trial is never retried — even when its
+// fault site's budget would let a second attempt pass. The site fires
+// exactly once, the point is quarantined with the failing trial
+// recorded, and a fault-free resume converges to the reference result
+// and journal bytes.
+func TestChaosTrialPanicQuarantinesOnFirstAttempt(t *testing.T) {
+	g := testGrid()
+	dir := t.TempDir()
+	refPath := filepath.Join(dir, "ref.json")
+	refRes, err := Runner{Seed: 7, Workers: 4, Checkpoint: refPath}.RunGrid(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "ck.json")
+	inj := resilience.NewSeededInjector(1, resilience.Rule{Site: trialSite(3, 2), Fails: 4, Panic: true})
+	res, err := Runner{Seed: 7, Workers: 4, Checkpoint: path, Inject: inj}.RunGrid(g)
+	if err != nil {
+		t.Fatalf("a panicking trial must quarantine its point, not abort: %v", err)
+	}
+	if inj.Fired() != 1 {
+		t.Fatalf("trial site fired %d times, want exactly 1 (no trial retry)", inj.Fired())
+	}
+	if !reflect.DeepEqual(res.Quarantined, []int{3}) {
+		t.Fatalf("quarantined %v, want exactly point 3", res.Quarantined)
+	}
+	if pe := res.Points[3].Error; pe == nil || pe.Trial != 2 || !strings.Contains(pe.Msg, "panicked") {
+		t.Fatalf("quarantine record %+v, want the panic at trial 2", pe)
+	}
+	resumed, err := Runner{Seed: 7, Workers: 4, Checkpoint: path}.RunGrid(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(refRes, resumed) {
+		t.Fatal("resume after a trial panic differs from the fault-free reference")
+	}
+	if !bytes.Equal(mustRead(t, path), mustRead(t, refPath)) {
+		t.Fatal("journal after the panic resume differs from reference bytes")
 	}
 }
 

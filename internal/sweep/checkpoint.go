@@ -3,14 +3,15 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"sort"
 	"strconv"
 
 	"github.com/gossipkit/noisyrumor/internal/resilience"
-	"github.com/gossipkit/noisyrumor/internal/rng"
 )
 
 // checkpointSchema versions the on-disk format: a line journal whose
@@ -56,6 +57,14 @@ func entryCRC(result []byte) string {
 	return fmt.Sprintf("%08x", crc32.ChecksumIEEE(result))
 }
 
+// parseEntry decodes one journal entry line, reporting whether it is
+// intact: well-formed, carrying a result, and matching its CRC.
+func parseEntry(line []byte) (checkpointEntry, bool) {
+	var ent checkpointEntry
+	err := json.Unmarshal(line, &ent)
+	return ent, err == nil && len(ent.Result) > 0 && ent.CRC == entryCRC(ent.Result)
+}
+
 // checkpoint persists sweep progress. A nil checkpoint (no path
 // configured) is valid and does nothing.
 type checkpoint struct {
@@ -89,15 +98,26 @@ type checkpointFile struct {
 // readCheckpointFile parses the journal at path, salvaging what it
 // can: damaged entry lines are dropped and counted, never fatal. Only
 // an unreadable header is fatal — without it the file cannot be
-// identified, so nothing can be salvaged.
+// identified, so nothing can be salvaged. A zero-length file reads as
+// absent (an fs.ErrNotExist error): it holds nothing to identify or
+// salvage, and is what a crash between create and header write leaves.
 func readCheckpointFile(path string) (*checkpointFile, error) {
 	data, err := os.ReadFile(path)
+	if err == nil && len(data) == 0 {
+		err = fmt.Errorf("sweep: checkpoint %s is empty: %w", path, fs.ErrNotExist)
+	}
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return nil, err
 		}
 		return nil, resilience.Transient(fmt.Errorf("sweep: read checkpoint: %w", err))
 	}
+	return parseCheckpoint(path, data)
+}
+
+// parseCheckpoint is readCheckpointFile's parser over the file's bytes;
+// path only labels errors.
+func parseCheckpoint(path string, data []byte) (*checkpointFile, error) {
 	nl := bytes.IndexByte(data, '\n')
 	headerLine := data
 	if nl >= 0 {
@@ -127,8 +147,7 @@ func readCheckpointFile(path string) (*checkpointFile, error) {
 			next = off + end + 1
 		}
 		if len(bytes.TrimSpace(line)) > 0 {
-			var ent checkpointEntry
-			if err := json.Unmarshal(line, &ent); err != nil || ent.CRC != entryCRC(ent.Result) {
+			if ent, ok := parseEntry(line); !ok {
 				// Torn or corrupt entry at byte offset `off`: drop and
 				// recompute. Damage is recoverable here, unlike the header.
 				cf.salvaged++
@@ -195,70 +214,73 @@ func openCheckpointFile(path, mode string, seed uint64, z float64, shard Shard, 
 		ordered: true,
 	}
 	cf, err := readCheckpointFile(path)
-	if os.IsNotExist(err) {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, resilience.Transient(fmt.Errorf("sweep: create checkpoint: %w", err))
-		}
-		if _, err := f.Write(ck.headerLine()); err != nil {
-			_ = f.Close()
-			return nil, resilience.Transient(fmt.Errorf("sweep: write checkpoint header: %w", err))
-		}
-		ck.f = f
-		return ck, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	prev := cf.header
-	if prev.Mode != mode || prev.Seed != seed || prev.Z != z ||
-		!shardEqual(prev.Shard, ck.header.Shard) ||
-		!bytes.Equal(canonicalJSON(prev.Spec), canonicalJSON(specJSON)) {
-		return nil, fmt.Errorf("sweep: checkpoint %s was written by a different sweep (mode/seed/z/shard/spec mismatch); delete it or change -checkpoint", path)
-	}
-	ck.entries = cf.entries
-	ck.salvaged = cf.salvaged
-	//nrlint:allow determinism -- commutative max over the keys; iteration order cannot reach the result
-	for k := range ck.entries {
-		if k > ck.lastKey {
-			ck.lastKey = k
-		}
-	}
-	if !cf.canonical {
-		// Normalize before appending so the resumed journal starts
-		// canonical again (salvage drops and overwrites rewritten away).
-		if err := writeFileAtomic(path, ck.canonicalBytes()); err != nil {
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		// A fresh journal (or the empty file a crash between create and
+		// header write leaves): commit the header atomically, so no crash
+		// can leave a headerless file behind.
+		if err := writeFileAtomic(path, ck.headerLine()); err != nil {
 			return nil, err
+		}
+	case err != nil:
+		return nil, err
+	default:
+		prev := cf.header
+		if prev.Mode != mode || prev.Seed != seed || prev.Z != z ||
+			!shardEqual(prev.Shard, ck.header.Shard) ||
+			!bytes.Equal(canonicalJSON(prev.Spec), canonicalJSON(specJSON)) {
+			return nil, fmt.Errorf("sweep: checkpoint %s was written by a different sweep (mode/seed/z/shard/spec mismatch); delete it or change -checkpoint", path)
+		}
+		ck.entries = cf.entries
+		ck.salvaged = cf.salvaged
+		//nrlint:allow determinism -- commutative max over the keys; iteration order cannot reach the result
+		for k := range ck.entries {
+			if k > ck.lastKey {
+				ck.lastKey = k
+			}
+		}
+		if !cf.canonical {
+			// Normalize before appending so the resumed journal starts
+			// canonical again (salvage drops and overwrites rewritten away).
+			if err := writeFileAtomic(path, ck.canonicalBytes()); err != nil {
+				return nil, err
+			}
 		}
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, resilience.Transient(fmt.Errorf("sweep: reopen checkpoint: %w", err))
+		return nil, resilience.Transient(fmt.Errorf("sweep: open checkpoint for append: %w", err))
 	}
 	ck.f = f
 	return ck, nil
 }
 
-// openJitterSalt and putJitterSalt key the backoff-jitter streams of
-// checkpoint I/O retries off the run seed, disjoint from the trial
-// forks (see retryJitterSalt).
-const (
-	openJitterSalt = 0x4f50454e // "OPEN"
-	putJitterSalt  = 0x505554   // "PUT"
-)
+// ioAttempts bounds the tries of each checkpoint I/O operation. The
+// retries follow at once: a local journal's transient faults clear on
+// the next try or not at all, and a persistent one (a full or
+// read-only disk) is recovered by resuming from the journal.
+const ioAttempts = 4
+
+// retryIO runs one checkpoint I/O operation under resilience.Retry,
+// counting every retry in sweep_retries_total.
+func (r Runner) retryIO(op func() error) error {
+	return resilience.Retry(ioAttempts, func(attempt int) error {
+		if m := r.Obs.Metrics; m != nil && attempt > 0 {
+			m.retries.Inc()
+		}
+		return op()
+	})
+}
 
 // openCheckpoint opens the Runner's journal (if configured) for one
-// sweep mode under the retry policy — a transiently failing open
-// (fault injection, I/O blips) is retried with deterministic jitter —
-// and records any salvage degradation.
+// sweep mode, retrying a transiently failing open (fault injection,
+// I/O blips), and records any salvage degradation.
 func (r Runner) openCheckpoint(mode string, spec any) (*checkpoint, error) {
 	if r.Checkpoint == "" {
 		return nil, nil
 	}
-	pol := r.retryPolicy()
-	jr := rng.New(rng.ForkSeed(r.Seed, openJitterSalt))
 	var ck *checkpoint
-	err := pol.Do(jr, func(int) error {
+	err := r.retryIO(func() error {
 		var err error
 		ck, err = openCheckpointFile(r.Checkpoint, mode, r.Seed, r.z(), r.Shard, spec, r.Inject)
 		return err
@@ -313,13 +335,13 @@ func (c *checkpoint) canonicalBytes() []byte {
 	return buf.Bytes()
 }
 
+// writeEntryLine appends ent as one journal line, with its result
+// bytes verbatim: json.Marshal would compact and HTML-escape the
+// RawMessage, so an entry read back from a hand-edited journal would
+// no longer match its own CRC once rewritten. For results put wrote
+// (json.Marshal output already) the bytes are the same either way.
 func writeEntryLine(buf *bytes.Buffer, ent checkpointEntry) {
-	line, err := json.Marshal(ent)
-	if err != nil {
-		panic(fmt.Sprintf("sweep: marshal checkpoint entry: %v", err))
-	}
-	buf.Write(line)
-	buf.WriteByte('\n')
+	fmt.Fprintf(buf, "{\"key\":%d,\"crc\":%q,\"result\":%s}\n", ent.Key, ent.CRC, ent.Result)
 }
 
 func writeFileAtomic(path string, data []byte) error {

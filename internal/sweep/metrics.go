@@ -6,7 +6,6 @@ import (
 	"github.com/gossipkit/noisyrumor/internal/census"
 	"github.com/gossipkit/noisyrumor/internal/model"
 	"github.com/gossipkit/noisyrumor/internal/obs"
-	"github.com/gossipkit/noisyrumor/internal/rng"
 )
 
 // Metrics is the sweep layer's instrument bundle. Like every bundle in
@@ -26,7 +25,6 @@ type Metrics struct {
 	quantMass    *obs.Gauge      // sweep_quant_budget
 	retries      *obs.Counter    // sweep_retries_total
 	quarantined  *obs.Counter    // sweep_points_quarantined
-	backoff      *obs.Histogram  // resilience_backoff_seconds
 	salvagedPts  *obs.Counter    // checkpoint_salvaged_points
 }
 
@@ -55,11 +53,9 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		quantMass: reg.Gauge("sweep_quant_budget",
 			"Quantization leg of the accumulated budget."),
 		retries: reg.Counter("sweep_retries_total",
-			"Retry attempts after transient failures (trials and checkpoint I/O)."),
+			"Checkpoint I/O retries after transient failures (trials are never retried)."),
 		quarantined: reg.Counter("sweep_points_quarantined",
-			"Points quarantined after a classified failure exhausted its retries."),
-		backoff: reg.Histogram("resilience_backoff_seconds",
-			"Backoff delays scheduled between retry attempts.", obs.LogBuckets(1e-4, 4, 10)),
+			"Points quarantined by a trial's classified failure (recomputed on resume)."),
 		salvagedPts: reg.Counter("checkpoint_salvaged_points",
 			"Damaged checkpoint journal lines dropped (and recomputed) on open."),
 	}
@@ -142,7 +138,7 @@ func (r Runner) observeCheckpointOpen(ck *checkpoint) {
 	}
 }
 
-// putCheckpoint is ck.put with transient-failure retries and
+// putCheckpoint is ck.put with transient-failure retries (retryIO) and
 // write-latency accounting; a nil checkpoint stays a silent no-op
 // (nothing is recorded for it).
 func (r Runner) putCheckpoint(ck *checkpoint, key int, pr PointResult) error {
@@ -150,9 +146,7 @@ func (r Runner) putCheckpoint(ck *checkpoint, key int, pr PointResult) error {
 		return nil
 	}
 	t0 := obs.Now(r.Obs.Clock)
-	pol := r.retryPolicy()
-	jr := rng.New(rng.ForkSeed(r.Seed, putJitterSalt+uint64(key)))
-	if err := pol.Do(jr, func(int) error { return ck.put(key, pr) }); err != nil {
+	if err := r.retryIO(func() error { return ck.put(key, pr) }); err != nil {
 		return fmt.Errorf("sweep: point %d could not be persisted: %w", key, err)
 	}
 	if m := r.Obs.Metrics; m != nil {

@@ -56,7 +56,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"time"
 
 	"github.com/gossipkit/noisyrumor/internal/census"
 	"github.com/gossipkit/noisyrumor/internal/checked"
@@ -132,12 +131,13 @@ type PointResult struct {
 	// for exact runs).
 	QuantBudget float64 `json:"quant_budget,omitempty"`
 	// Error, when non-nil, marks the point quarantined: a trial failed
-	// with a classified (transient-after-retries or permanent) error or
-	// panicked, the statistics above are zeroed, and the run went on
-	// without it. Quarantine records persist in the checkpoint for
-	// accounting, but a resume recomputes them (checkpoint.get treats
-	// them as misses). Unclassified trial errors — bad specs, bad knob
-	// values — never quarantine: they abort the run up front as always.
+	// with a classified (transient or permanent) error or panicked —
+	// trials are never retried — the statistics above are zeroed, and
+	// the run went on without it. Quarantine records persist in the
+	// checkpoint for accounting, but a resume recomputes them
+	// (checkpoint.get treats them as misses). Unclassified trial errors
+	// — bad specs, bad knob values — never quarantine: they abort the
+	// run up front as always.
 	Error *PointError `json:"error,omitempty"`
 }
 
@@ -188,13 +188,6 @@ type Runner struct {
 	// lawcache/store. The chaos-testing seam; nil is the production
 	// no-op and costs one branch per site.
 	Inject resilience.FaultInjector
-	// Retry is the backoff policy around checkpoint I/O and transient
-	// trial failures. The zero value means resilience.DefaultPolicy()
-	// with Retry.Sleeper carried over (harnesses inject
-	// obs.WallSleeper{}; tests leave it nil so retries never block).
-	// Backoff jitter is drawn from forks of Seed, so retried runs stay
-	// bit-identical.
-	Retry resilience.Policy
 	// BreakAfter trips the run-level breaker after this many
 	// consecutive quarantined points (0 = DefaultBreakAfter, negative =
 	// never): a systemic fault aborts loudly instead of quarantining
@@ -215,29 +208,6 @@ func (r Runner) breakAfter() int {
 	default:
 		return DefaultBreakAfter
 	}
-}
-
-// retryPolicy is the effective retry policy: Runner.Retry, defaulted
-// when zero, with the retry/backoff metrics chained onto OnBackoff.
-func (r Runner) retryPolicy() resilience.Policy {
-	p := r.Retry
-	if p.Attempts == 0 {
-		d := resilience.DefaultPolicy()
-		d.Sleeper = p.Sleeper
-		d.OnBackoff = p.OnBackoff
-		p = d
-	}
-	if m := r.Obs.Metrics; m != nil {
-		inner := p.OnBackoff
-		p.OnBackoff = func(attempt int, delay time.Duration) {
-			m.retries.Inc()
-			m.backoff.Observe(delay.Seconds())
-			if inner != nil {
-				inner(attempt, delay)
-			}
-		}
-	}
-	return p
 }
 
 func (r Runner) workers() int {
@@ -418,57 +388,32 @@ func runPerNodeTrial(p Point, nm *noise.Matrix, counts []int64, r *rng.Rand, mm 
 	return trialOut{correct: res.Correct, rounds: rounds}
 }
 
-// retryJitterSalt offsets the backoff-jitter stream forks away from
-// the trial-index forks of the same point seed (trial indices are
-// small; these salts are far outside any plausible trial count).
-const retryJitterSalt = 0x5245545259 // "RETRY"
-
 // trialSite names a trial's fault-injection site.
 func trialSite(point, trial int) string {
 	return "trial/" + strconv.Itoa(point) + "/" + strconv.Itoa(trial)
 }
 
-// resilientTrial runs one trial with panic containment, fault
-// injection, and transient-failure retries. Every attempt replays the
-// identical stream rng.New(ForkSeed(pointSeed, t)) from scratch, so a
-// trial that succeeds on retry is bit-identical to one that never
-// failed — resilience is invisible in results, only in metrics. The
-// fast path (no fault, no panic — i.e. production) costs one deferred
-// recover and one nil check over the bare call; the jitter stream is
-// only forked once a retry is actually needed.
-func (r Runner) resilientTrial(pol resilience.Policy, pointIndex, t int, pointSeed uint64,
-	cr *core.CensusRunner, fn func(trial int, r *rng.Rand, cr *core.CensusRunner) trialOut) trialOut {
+// containedTrial runs trial t of a point exactly once, under panic
+// containment and the trial/<point>/<t> fault site. A trial is a pure
+// function of its stream rng.New(ForkSeed(pointSeed, t)), so a failure
+// would replay identically: it is never retried, and its classified
+// error quarantines the point (see aggregate) for a resume to
+// recompute. The production cost over the bare call is one deferred
+// recover and one nil check.
+func (r Runner) containedTrial(pointIndex, t int, pointSeed uint64,
+	cr *core.CensusRunner, fn func(trial int, r *rng.Rand, cr *core.CensusRunner) trialOut) (out trialOut) {
 
-	attempt := func() (out trialOut) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				out = trialOut{err: resilience.Transient(fmt.Errorf("sweep: point %d trial %d panicked: %v", pointIndex, t, rec))}
-			}
-		}()
-		if r.Inject != nil {
-			if err := r.Inject.Fire(trialSite(pointIndex, t)); err != nil {
-				return trialOut{err: err}
-			}
+	defer func() {
+		if rec := recover(); rec != nil {
+			out = trialOut{err: resilience.Transient(fmt.Errorf("sweep: point %d trial %d panicked: %v", pointIndex, t, rec))}
 		}
-		return fn(t, rng.New(rng.ForkSeed(pointSeed, uint64(t))), cr)
-	}
-
-	out := attempt()
-	if out.err == nil || !resilience.IsTransient(out.err) {
-		return out // success, or permanent/unclassified: not retryable
-	}
-	jr := rng.New(rng.ForkSeed(pointSeed, retryJitterSalt+uint64(t)))
-	err := pol.Do(jr, func(a int) error {
-		if a == 0 {
-			return out.err // the first attempt already ran
+	}()
+	if r.Inject != nil {
+		if err := r.Inject.Fire(trialSite(pointIndex, t)); err != nil {
+			return trialOut{err: err}
 		}
-		out = attempt()
-		return out.err
-	})
-	if err != nil {
-		out.err = err
 	}
-	return out
+	return fn(t, rng.New(rng.ForkSeed(pointSeed, uint64(t))), cr)
 }
 
 // parallelTrials runs trials start..start+count−1 of a point over a
@@ -479,8 +424,7 @@ func (r Runner) resilientTrial(pol resilience.Policy, pointIndex, t int, pointSe
 // which worker runs which trial does not affect results — the
 // per-worker trial and busy-time telemetry records the (scheduling-
 // dependent) split without ever feeding back into it. Each trial runs
-// under resilientTrial: panics are contained and transient failures
-// retried with per-trial deterministic jitter.
+// under containedTrial, so a panic becomes a quarantining error.
 func (r Runner) parallelTrials(runners []*core.CensusRunner, pointIndex, start, count int, pointSeed uint64,
 	fn func(trial int, r *rng.Rand, cr *core.CensusRunner) trialOut) []trialOut {
 
@@ -488,7 +432,6 @@ func (r Runner) parallelTrials(runners []*core.CensusRunner, pointIndex, start, 
 	if count == 0 {
 		return out
 	}
-	pol := r.retryPolicy()
 	workers := len(runners)
 	if workers > count {
 		workers = count
@@ -512,7 +455,7 @@ func (r Runner) parallelTrials(runners []*core.CensusRunner, pointIndex, start, 
 			clk := r.Obs.Clock
 			for t := range next {
 				t0 := obs.Now(clk)
-				out[t-start] = r.resilientTrial(pol, pointIndex, t, pointSeed, cr, fn)
+				out[t-start] = r.containedTrial(pointIndex, t, pointSeed, cr, fn)
 				if m != nil {
 					m.trials.Inc()
 					workerTrials.Inc()
@@ -602,8 +545,8 @@ func (r Runner) evalPointAdaptive(p Point, batch int, runners []*core.CensusRunn
 }
 
 // aggregate folds trial outcomes into a PointResult. A trial that
-// still carries a classified error after retries (an injected fault,
-// a contained panic, failed I/O) quarantines the whole point: the
+// carries a classified error (an injected fault, a contained panic)
+// quarantines the whole point: the
 // statistics are zeroed, Error records the failure, and the caller's
 // run continues without it. Unclassified errors are spec/config
 // mistakes and abort the run as always.

@@ -153,6 +153,34 @@ func TestCheckpointResumeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointZeroByteResumes: a zero-byte journal — what a crash
+// between creating the file and writing its header leaves — reads as
+// absent, so the re-run starts fresh and lands on the fault-free
+// result and journal bytes instead of failing on an unreadable header.
+func TestCheckpointZeroByteResumes(t *testing.T) {
+	g := testGrid()
+	dir := t.TempDir()
+	refPath := filepath.Join(dir, "ref.json")
+	ref, err := Runner{Seed: 7, Workers: 4, Checkpoint: refPath}.RunGrid(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "ck.json")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := Runner{Seed: 7, Workers: 4, Checkpoint: path}.RunGrid(g)
+	if err != nil {
+		t.Fatalf("zero-byte journal: %v", err)
+	}
+	if !reflect.DeepEqual(ref, resumed) {
+		t.Fatal("run over a zero-byte journal differs from the fault-free reference")
+	}
+	if !bytes.Equal(mustRead(t, path), mustRead(t, refPath)) {
+		t.Fatal("journal written over a zero-byte file differs from reference bytes")
+	}
+}
+
 func TestInitialCounts(t *testing.T) {
 	counts, err := InitialCounts(1000, 3, 0.1)
 	if err != nil {
