@@ -35,10 +35,10 @@ STATICCHECK_VERSION := 2025.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
 # lint is the static contract gate: gofmt, go vet, then nrlint — the
-# project's own analyzer suite enforcing the determinism / overflow /
-# budget / rngfork contracts plus the interprocedural detcall /
-# budgetflow / obswrite passes (see DESIGN.md "Statically enforced
-# contracts"). staticcheck and govulncheck run when installed (CI
+# project's own five-analyzer suite enforcing the determinism (in
+# place and across packages), budget (discards and def-use flow),
+# overflow, rngfork and obswrite contracts (see DESIGN.md "Statically
+# enforced contracts"). staticcheck and govulncheck run when installed (CI
 # installs the pinned versions above); a bare or stale
 # `//nrlint:allow` fails the build.
 lint: vet
@@ -86,12 +86,15 @@ chaos:
 	$(GO) test -race -run 'TestChaos' -count=1 ./internal/sweep ./cmd/sweep
 
 # fuzz runs each fuzz target past its committed seed corpus
-# (testdata/fuzz/<target>/, which plain `go test` replays). CI runs it
-# at FUZZTIME=10s; a crasher lands in testdata/fuzz as a regression
-# case.
+# (testdata/fuzz/<target>/, which plain `go test` replays), one
+# invocation per target since `go test -fuzz` takes one target at a
+# time: the checkpoint journal parser and the -shard parser. CI runs
+# it at FUZZTIME=10s (per target); a crasher lands in testdata/fuzz as
+# a regression case.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpointFile$$' -fuzztime $(FUZZTIME) ./internal/sweep
+	$(GO) test -run '^$$' -fuzz '^FuzzParseShard$$' -fuzztime $(FUZZTIME) ./internal/sweep
 
 # perfbench is a nested module (the repo benchmark, see BENCHMARK.json),
 # so `go build ./...` and `go test ./...` never compile it; vet and

@@ -21,8 +21,8 @@
 // A bare suppression (missing the `-- reason` tail) is itself a
 // finding, so CI fails on any unexplained allow. See suppress.go.
 //
-// Package opt-in: the determinism, overflow and rngfork passes apply
-// only to packages that declare the contract with a
+// Package opt-in: the determinism, overflow, rngfork and obswrite
+// passes apply only to packages that declare the contract with a
 // `//nrlint:deterministic` comment (conventionally above the package
 // clause); the budget pass is repo-wide, since budget-carrying types
 // may flow anywhere.
@@ -131,26 +131,6 @@ func namedTypeName(t types.Type) string {
 	return ""
 }
 
-// enclosingFuncs returns the innermost-first stack of function nodes
-// (FuncDecl or FuncLit) enclosing pos — computed per call; the
-// analyzers only need it on reported paths.
-func enclosingFunc(file *ast.File, pos token.Pos) ast.Node {
-	var found ast.Node
-	ast.Inspect(file, func(n ast.Node) bool {
-		if n == nil {
-			return false
-		}
-		switch n.(type) {
-		case *ast.FuncDecl, *ast.FuncLit:
-			if n.Pos() <= pos && pos < n.End() {
-				found = n // keep descending: innermost wins
-			}
-		}
-		return true
-	})
-	return found
-}
-
 // All returns the full suite in stable order. The driver and the
 // fixture runner both iterate this.
 func All() []*Analyzer {
@@ -159,8 +139,6 @@ func All() []*Analyzer {
 		OverflowAnalyzer,
 		BudgetAnalyzer,
 		RngForkAnalyzer,
-		DetCallAnalyzer,
-		BudgetFlowAnalyzer,
 		ObsWriteAnalyzer,
 	}
 	sort.Slice(as, func(i, j int) bool { return as[i].Name < as[j].Name })

@@ -3,6 +3,7 @@ package analyzers
 import (
 	"fmt"
 	"go/token"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -20,6 +21,27 @@ import (
 // diagnostic must be matched by a want. Lines carrying a justified
 // //nrlint:allow and no want are the fixtures' accepted negatives.
 func RunFixture(t *testing.T, as []*Analyzer, dir string) {
+	t.Helper()
+	runFixture(t, as, dir, "")
+}
+
+// RunFixtureFile is RunFixture narrowed to one file of the fixture
+// package at dir: the whole fixture (helpers included) is loaded and
+// analyzed, but only the diagnostics and wants of dir/file are
+// compared. It pins one group of cases of a multi-file fixture, such
+// as the cross-package calls, under a test of its own.
+func RunFixtureFile(t *testing.T, as []*Analyzer, dir, file string) {
+	t.Helper()
+	only, err := filepath.Abs(filepath.Join(dir, file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runFixture(t, as, dir, only)
+}
+
+// runFixture implements RunFixture; a non-empty only (an absolute
+// path) restricts the comparison to that file.
+func runFixture(t *testing.T, as []*Analyzer, dir, only string) {
 	t.Helper()
 	loader, err := NewLoader(dir)
 	if err != nil {
@@ -46,9 +68,20 @@ func RunFixture(t *testing.T, as []*Analyzer, dir string) {
 			wants[key] = append(wants[key], ws...)
 		}
 	}
+	inScope := func(file string) bool {
+		if only == "" {
+			return true
+		}
+		abs, err := filepath.Abs(file)
+		return err == nil && abs == only
+	}
 	matched := map[*want]bool{}
+	nwants := 0
 	for _, d := range diags {
 		p := loader.Fset.Position(d.Pos)
+		if !inScope(p.Filename) {
+			continue
+		}
 		key := fmt.Sprintf("%s:%d", p.Filename, p.Line)
 		ok := false
 		for _, w := range wants[key] {
@@ -63,10 +96,17 @@ func RunFixture(t *testing.T, as []*Analyzer, dir string) {
 	}
 	for _, ws := range wants {
 		for _, w := range ws {
+			if !inScope(w.file) {
+				continue
+			}
+			nwants++
 			if !matched[w] {
 				t.Errorf("%s:%d: no diagnostic matched want %q", w.file, w.line, w.re)
 			}
 		}
+	}
+	if only != "" && nwants == 0 {
+		t.Errorf("%s: no // want annotations in scope", only)
 	}
 }
 

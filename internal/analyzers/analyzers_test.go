@@ -8,10 +8,19 @@ import (
 // Each analyzer's fixture package demonstrates at least one caught
 // violation (`// want`) and one deliberately-allowed negative case
 // (sorted keys, round-trip guards, transfers, justified allows); see
-// testdata/src/<analyzer>/fixture.go.
+// testdata/src/<analyzer>/. The determinism and budget fixtures are
+// multi-package: a helper/ subpackage WITHOUT the directive supplies
+// the cross-package shape only the facts can see.
 
 func TestDeterminismFixture(t *testing.T) {
 	RunFixture(t, []*Analyzer{DeterminismAnalyzer}, filepath.Join("testdata", "src", "determinism"))
+}
+
+// TestDetCallFixture pins the determinism fixture's cross-package
+// cases (calls.go): calls into helper functions whose taint is visible
+// only through the interprocedural facts.
+func TestDetCallFixture(t *testing.T) {
+	RunFixtureFile(t, []*Analyzer{DeterminismAnalyzer}, filepath.Join("testdata", "src", "determinism"), "calls.go")
 }
 
 func TestOverflowFixture(t *testing.T) {
@@ -22,21 +31,15 @@ func TestBudgetFixture(t *testing.T) {
 	RunFixture(t, []*Analyzer{BudgetAnalyzer}, filepath.Join("testdata", "src", "budget"))
 }
 
+// TestBudgetFlowFixture pins the budget fixture's flow cases
+// (flow.go): budget values from helper calls that are captured in
+// locals and must be discharged before scope ends.
+func TestBudgetFlowFixture(t *testing.T) {
+	RunFixtureFile(t, []*Analyzer{BudgetAnalyzer}, filepath.Join("testdata", "src", "budget"), "flow.go")
+}
+
 func TestRngForkFixture(t *testing.T) {
 	RunFixture(t, []*Analyzer{RngForkAnalyzer}, filepath.Join("testdata", "src", "rngfork"))
-}
-
-// The interprocedural fixtures are multi-package: the directory under
-// test holds the //nrlint:deterministic (or budget-using) package and
-// a helper/ subpackage WITHOUT the directive — the cross-package shape
-// the pre-facts syntactic passes provably could not see.
-
-func TestDetCallFixture(t *testing.T) {
-	RunFixture(t, []*Analyzer{DetCallAnalyzer}, filepath.Join("testdata", "src", "detcall"))
-}
-
-func TestBudgetFlowFixture(t *testing.T) {
-	RunFixture(t, []*Analyzer{BudgetFlowAnalyzer}, filepath.Join("testdata", "src", "budgetflow"))
 }
 
 func TestObsWriteFixture(t *testing.T) {
@@ -45,10 +48,10 @@ func TestObsWriteFixture(t *testing.T) {
 
 func TestSuiteRegistry(t *testing.T) {
 	all := All()
-	if len(all) != 7 {
-		t.Fatalf("All() = %d analyzers, want 7", len(all))
+	if len(all) != 5 {
+		t.Fatalf("All() = %d analyzers, want 5", len(all))
 	}
-	for _, name := range []string{"budget", "budgetflow", "detcall", "determinism", "obswrite", "overflow", "rngfork"} {
+	for _, name := range []string{"budget", "determinism", "obswrite", "overflow", "rngfork"} {
 		if ByName(name) == nil {
 			t.Errorf("ByName(%q) = nil", name)
 		}

@@ -32,25 +32,26 @@ import (
 // "assume safe / assume sinking" — facts only ever make checks
 // stricter where a summary proves a violation, never looser.
 type FuncFact struct {
-	// Tainted: the function transitively reaches a nondeterminism
-	// source — time.Now/time.Since, math/rand, map-range iteration
-	// (the sorted-keys key-collection loop is exempt), goroutine
-	// append fan-in, or an obs.WallClock literal. TaintReason is the
-	// human-readable chain for diagnostics.
+	// Tainted: the function transitively reaches a source on the
+	// determinism pass's one list — time.Now/Since/Sleep, math/rand,
+	// map-range iteration (the sorted-keys key-collection loop is
+	// exempt), goroutine append fan-in, or an obs.WallClock literal.
+	// TaintReason is the human-readable chain for diagnostics.
 	Tainted     bool   `json:"tainted,omitempty"`
 	TaintReason string `json:"taint_reason,omitempty"`
 
 	// Deterministic: the defining package carries the
-	// //nrlint:deterministic directive. Calls into tainted functions
-	// of such packages are not re-reported by detcall — the
-	// determinism pass already flags the source site itself.
+	// //nrlint:deterministic directive. The determinism pass does not
+	// report calls into tainted functions of such packages: it already
+	// reports the source site where it sits.
 	Deterministic bool `json:"deterministic,omitempty"`
 
-	// BudgetResults lists result indices that carry budget mass: a
-	// result typed Budget, a canonical ErrorBudget/QuantBudget
-	// accessor, or a result position whose return expressions are
-	// budget expressions (the cross-package wrapper case the
-	// syntactic pass cannot see).
+	// BudgetResults lists result indices whose return expressions
+	// carry budget mass, looking through conversions — the
+	// cross-package wrapper that erases the Budget type. It is one of
+	// the three inputs of the budget pass's carrier test, next to the
+	// Budget type and the canonical ErrorBudget/QuantBudget name,
+	// which the test reads at the call site.
 	BudgetResults []int `json:"budget_results,omitempty"`
 
 	// HasBudgetParam / SinksBudget summarize the parameter side:
@@ -63,9 +64,6 @@ type FuncFact struct {
 	HasBudgetParam bool `json:"has_budget_param,omitempty"`
 	SinksBudget    bool `json:"sinks_budget,omitempty"`
 }
-
-// ReturnsBudget reports whether any result position carries budget.
-func (f FuncFact) ReturnsBudget() bool { return len(f.BudgetResults) > 0 }
 
 // Facts is the cross-package store, keyed by FactKey strings.
 type Facts struct {

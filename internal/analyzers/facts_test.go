@@ -1,7 +1,9 @@
 package analyzers
 
 import (
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -48,12 +50,12 @@ func TestFactsEncodeDecodeRoundTrip(t *testing.T) {
 // generic functions (keyed by origin, so instantiated call edges in
 // dependents resolve to the declaration's summary).
 func TestFactKeyShapes(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "detcall", "helper")
+	dir := filepath.Join("testdata", "src", "determinism", "helper")
 	loader, err := NewLoader(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := loader.RunDirs([]string{dir}, []*Analyzer{DetCallAnalyzer})
+	results, err := loader.RunDirs([]string{dir}, []*Analyzer{DeterminismAnalyzer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +67,8 @@ func TestFactKeyShapes(t *testing.T) {
 	// two-package DAG and inspect through a probe analyzer.
 	var probed *Facts
 	probe := &Analyzer{Name: "probe", Facts: func(p *Pass) error { probed = p.Facts; return nil }}
-	fixtureDir := filepath.Join("testdata", "src", "detcall")
-	if _, err := loader.RunDirs([]string{fixtureDir, dir}, []*Analyzer{DetCallAnalyzer, probe}); err != nil {
+	fixtureDir := filepath.Join("testdata", "src", "determinism")
+	if _, err := loader.RunDirs([]string{fixtureDir, dir}, []*Analyzer{DeterminismAnalyzer, probe}); err != nil {
 		t.Fatal(err)
 	}
 	for key, wantTainted := range map[string]bool{
@@ -91,12 +93,14 @@ func TestFactKeyShapes(t *testing.T) {
 }
 
 // TestSyntacticPassesMissCrossPackageCases is the golden contrast:
-// the pre-facts in-package passes stay silent on the fixture packages
-// where the interprocedural analyzers report. Without it, the new
-// fixtures would not prove the new passes see anything the old ones
-// could not.
+// with their Facts hooks stripped, determinism and budget keep every
+// in-package finding but go silent on the fixture cases that only
+// cross-package summaries can see, and the obswrite fixture is
+// invisible to every other pass. Without it, the helper fixtures
+// would not prove the facts see anything an in-package check could
+// not.
 func TestSyntacticPassesMissCrossPackageCases(t *testing.T) {
-	runOld := func(dir string, old []*Analyzer) []Diagnostic {
+	run := func(dir string, as []*Analyzer) map[string]bool {
 		t.Helper()
 		loader, err := NewLoader(dir)
 		if err != nil {
@@ -106,32 +110,53 @@ func TestSyntacticPassesMissCrossPackageCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		results, err := loader.RunDirs(dirs, old)
+		results, err := loader.RunDirs(dirs, as)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var diags []Diagnostic
+		seen := map[string]bool{}
 		for _, res := range results {
-			diags = append(diags, res.Diags...)
+			for _, d := range res.Diags {
+				p := loader.Fset.Position(d.Pos)
+				seen[fmt.Sprintf("%s:%d: %s", filepath.Base(p.Filename), p.Line, d.Message)] = true
+			}
 		}
-		return diags
+		return seen
 	}
-	// budgetflow fixture: the statement-local budget pass sees nothing
-	// (every drop travels through a local or a non-sinking callee).
-	for _, d := range runOld(filepath.Join("testdata", "src", "budgetflow"), []*Analyzer{BudgetAnalyzer}) {
-		t.Errorf("budgetflow fixture: pre-facts budget pass unexpectedly sees: %s", d.Message)
+	for _, tc := range []struct {
+		a       *Analyzer
+		factsOf []string // fragments of the findings only facts can see
+	}{
+		{DeterminismAnalyzer, []string{"call into nondeterministic helper.SumVals", "call into nondeterministic helper.Wrap",
+			"call into nondeterministic helper.Stamp", "call into nondeterministic helper.Backoff",
+			"call into nondeterministic helper.Vals", "call into nondeterministic helper.(Table).Flatten"}},
+		{BudgetAnalyzer, []string{"result of helper.AccruedMass is discarded", "captured in x ",
+			"captured in z ", "captured in g ", "captured in a "}},
+	} {
+		dir := filepath.Join("testdata", "src", tc.a.Name)
+		full := run(dir, []*Analyzer{tc.a})
+		syntactic := run(dir, []*Analyzer{{Name: tc.a.Name, Run: tc.a.Run}})
+		for d := range syntactic {
+			if !full[d] {
+				t.Errorf("%s: fact-free run reports what the full run does not: %s", tc.a.Name, d)
+			}
+		}
+		for _, frag := range tc.factsOf {
+			inFull, inSyntactic := false, false
+			for d := range full {
+				inFull = inFull || strings.Contains(d, frag)
+			}
+			for d := range syntactic {
+				inSyntactic = inSyntactic || strings.Contains(d, frag)
+			}
+			if !inFull || inSyntactic {
+				t.Errorf("%s: %q found with facts = %v, without = %v; want true, false", tc.a.Name, frag, inFull, inSyntactic)
+			}
+		}
 	}
-	// obswrite fixture: the determinism/overflow/rngfork trio is blind
-	// to instrument reads.
-	for _, d := range runOld(filepath.Join("testdata", "src", "obswrite"),
+	// obswrite fixture: the other passes are blind to instrument reads.
+	for d := range run(filepath.Join("testdata", "src", "obswrite"),
 		[]*Analyzer{DeterminismAnalyzer, OverflowAnalyzer, RngForkAnalyzer, BudgetAnalyzer}) {
-		t.Errorf("obswrite fixture: pre-facts pass unexpectedly sees [%s]: %s", d.Analyzer, d.Message)
-	}
-	// detcall fixture: the determinism pass sees ONLY the deliberate
-	// in-package source (localTainted's map range) — every cross-package
-	// call the detcall fixture flags is invisible to it.
-	detDiags := runOld(filepath.Join("testdata", "src", "detcall"), []*Analyzer{DeterminismAnalyzer})
-	if len(detDiags) != 1 {
-		t.Fatalf("detcall fixture: determinism pass sees %d finding(s), want exactly the localTainted map range: %v", len(detDiags), detDiags)
+		t.Errorf("obswrite fixture: another pass unexpectedly sees %s", d)
 	}
 }

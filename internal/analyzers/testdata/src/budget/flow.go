@@ -1,14 +1,14 @@
-// Package budgetflow is the analysistest fixture for the budgetflow
-// analyzer: budget-carrying call results captured in locals must
-// reach a return, a += accumulator, or a sinking call before scope
-// ends. Positive cases drop the mass (comparison-only callees,
-// blank-discarded copies, type-erased wrapper results); negative
-// cases discharge it (return, +=, transfer-then-drain, sinking
-// callees).
-package budgetflow
+// This file holds the budget fixture's flow cases: budget-carrying
+// call results captured in locals must reach a return, a +=
+// accumulator, or a sinking call before scope ends. Positive cases
+// drop the mass (comparison-only callees, blank-discarded copies,
+// type-erased wrapper results); negative cases discharge it (return,
+// +=, transfer-then-drain, sinking callees).
+
+package budget
 
 import (
-	"github.com/gossipkit/noisyrumor/internal/analyzers/testdata/src/budgetflow/helper"
+	"github.com/gossipkit/noisyrumor/internal/analyzers/testdata/src/budget/helper"
 )
 
 func droppedToComparisonPositive() {
@@ -19,6 +19,14 @@ func droppedToComparisonPositive() {
 func droppedWrapperPositive(e *helper.Eng) {
 	z := helper.AccruedMass(e) // want `budget value captured in z never reaches`
 	_ = z
+}
+
+func discardWrapperPositive(e *helper.Eng) {
+	helper.AccruedMass(e) // want `budget-carrying result of helper.AccruedMass is discarded`
+}
+
+func discardWrapperBlankPositive(e *helper.Eng) {
+	_ = helper.AccruedMass(e) // want `budget value discarded into _`
 }
 
 func droppedAccessorPositive(e *helper.Eng) bool {
@@ -83,7 +91,7 @@ func storedNegative(e *helper.Eng) map[string]helper.Budget {
 }
 
 func allowedNegative() {
-	//nrlint:allow budgetflow -- warm-up draw, mass re-accrued by the measured run
+	//nrlint:allow budget -- warm-up draw, mass re-accrued by the measured run
 	w := helper.Mk()
 	_ = helper.Mag(w)
 }

@@ -1,8 +1,8 @@
-// Package helper is the cross-package half of the budgetflow fixture.
+// Package helper is the cross-package half of the budget fixture.
 // Its function summaries — which results carry budget mass, which
 // Budget-typed parameters actually sink — are exported as facts and
 // consumed by the fixture package: AccruedMass returns budget as a
-// raw float64 (invisible to the type-based pass), and Mag/Hold take a
+// raw float64 (invisible to a type-only check), and Mag/Hold take a
 // Budget but provably drop it, so passing one to them must not count
 // as a discharge.
 package helper
@@ -24,7 +24,7 @@ func Mk() Budget { return 0.25 }
 // MkTwo returns a budget in result position 1.
 func MkTwo() (int, Budget) { return 3, 0.5 }
 
-// AccruedMass is the wrapper the syntactic pass cannot see: the
+// AccruedMass is the wrapper a type-only check cannot see: the
 // Budget type is erased to float64 at the boundary, but the returned
 // value is still the engine's accrued mass.
 func AccruedMass(e *Eng) float64 { return float64(e.ErrorBudget()) }

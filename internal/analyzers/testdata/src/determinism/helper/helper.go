@@ -1,8 +1,8 @@
-// Package helper is the un-annotated half of the detcall fixture:
+// Package helper is the un-annotated half of the determinism fixture:
 // none of these functions are flagged here (no //nrlint:deterministic
 // directive), but their taint summaries are exported as facts, and
 // calls into the tainted ones from the deterministic fixture package
-// are the findings the pre-facts syntactic passes provably missed.
+// are the findings no in-package source check can see.
 package helper
 
 import (

@@ -22,7 +22,7 @@ func Identity(k int) (*Matrix, error) {
 // model of Feinerman, Haeupler and Korman: a transmitted bit survives
 // with probability 1/2+ε and flips with probability 1/2−ε.
 func FHKBinary(eps float64) (*Matrix, error) {
-	if eps <= 0 || eps > 0.5 {
+	if !(eps > 0 && eps <= 0.5) {
 		return nil, fmt.Errorf("noise: FHKBinary needs ε ∈ (0, 1/2], got %v", eps)
 	}
 	return New([][]float64{
@@ -40,7 +40,7 @@ func Uniform(k int, eps float64) (*Matrix, error) {
 		return nil, fmt.Errorf("noise: Uniform with k=%d < 2", k)
 	}
 	maxEps := float64(k-1) / float64(k)
-	if eps <= 0 || eps > maxEps {
+	if !(eps > 0 && eps <= maxEps) {
 		return nil, fmt.Errorf("noise: Uniform(k=%d) needs ε ∈ (0, %v], got %v", k, maxEps, eps)
 	}
 	m := &Matrix{k: k, p: make([]float64, k*k)}
@@ -75,7 +75,7 @@ func DominantCycle(k int, eps float64) (*Matrix, error) {
 	if k < 3 {
 		return nil, fmt.Errorf("noise: DominantCycle with k=%d < 3", k)
 	}
-	if eps <= 0 || eps >= 0.5 {
+	if !(eps > 0 && eps < 0.5) {
 		return nil, fmt.Errorf("noise: DominantCycle needs ε ∈ (0, 1/2), got %v", eps)
 	}
 	m := &Matrix{k: k, p: make([]float64, k*k)}
@@ -95,7 +95,7 @@ func Reset(k int, rho float64) (*Matrix, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("noise: Reset with k=%d < 2", k)
 	}
-	if rho < 0 || rho > 1 {
+	if !(rho >= 0 && rho <= 1) {
 		return nil, fmt.Errorf("noise: Reset needs ρ ∈ [0,1], got %v", rho)
 	}
 	m := &Matrix{k: k, p: make([]float64, k*k)}
@@ -118,11 +118,11 @@ func NearUniform(k int, diag, spread float64, r *rng.Rand) (*Matrix, error) {
 	if k < 3 {
 		return nil, fmt.Errorf("noise: NearUniform with k=%d < 3", k)
 	}
-	if diag <= 0 || diag >= 1 {
+	if !(diag > 0 && diag < 1) {
 		return nil, fmt.Errorf("noise: NearUniform needs diag ∈ (0,1), got %v", diag)
 	}
 	base := (1 - diag) / float64(k-1)
-	if spread < 0 || spread > base {
+	if !(spread >= 0 && spread <= base) {
 		return nil, fmt.Errorf("noise: NearUniform needs spread ∈ [0, %v], got %v", base, spread)
 	}
 	m := &Matrix{k: k, p: make([]float64, k*k)}

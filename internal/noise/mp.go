@@ -38,10 +38,10 @@ func (mx *Matrix) IsMajorityPreserving(m int, eps, delta float64) (MPResult, err
 	if m < 0 || m >= k {
 		return MPResult{}, fmt.Errorf("noise: opinion %d out of range [0,%d)", m, k)
 	}
-	if delta <= 0 || delta > 1 {
+	if !(delta > 0 && delta <= 1) {
 		return MPResult{}, fmt.Errorf("noise: δ must be in (0,1], got %v", delta)
 	}
-	if eps < 0 {
+	if !(eps >= 0) {
 		return MPResult{}, fmt.Errorf("noise: ε must be non-negative, got %v", eps)
 	}
 	res := MPResult{MP: true, WorstRival: -1, WorstBias: math.Inf(1)}

@@ -152,6 +152,12 @@ func TestIsMajorityPreservingValidation(t *testing.T) {
 	if _, err := m.IsMajorityPreserving(0, -0.1, 0.5); err == nil {
 		t.Fatal("negative ε accepted")
 	}
+	if _, err := m.IsMajorityPreserving(0, 0.1, math.NaN()); err == nil {
+		t.Fatal("δ=NaN accepted")
+	}
+	if _, err := m.IsMajorityPreserving(0, math.NaN(), 0.5); err == nil {
+		t.Fatal("ε=NaN accepted")
+	}
 }
 
 func TestSufficientMPImpliesLPVerdict(t *testing.T) {

@@ -81,7 +81,7 @@ func TestFHKBinaryMatchesEq1(t *testing.T) {
 		m.At(1, 0) != 0.3 || m.At(1, 1) != 0.7 {
 		t.Fatalf("FHK matrix wrong:\n%v", m)
 	}
-	for _, bad := range []float64{0, -0.1, 0.6} {
+	for _, bad := range []float64{0, -0.1, 0.6, math.NaN()} {
 		if _, err := FHKBinary(bad); err == nil {
 			t.Fatalf("FHKBinary(%v) accepted", bad)
 		}
@@ -141,6 +141,9 @@ func TestUniformRejects(t *testing.T) {
 	if _, err := Uniform(3, 0.7); err == nil {
 		t.Fatal("eps beyond bound accepted")
 	}
+	if _, err := Uniform(3, math.NaN()); err == nil {
+		t.Fatal("eps=NaN accepted")
+	}
 }
 
 func TestDominantCycleMatchesPaper(t *testing.T) {
@@ -170,6 +173,9 @@ func TestDominantCycleMatchesPaper(t *testing.T) {
 	if _, err := DominantCycle(3, 0.5); err == nil {
 		t.Fatal("eps=1/2 accepted")
 	}
+	if _, err := DominantCycle(3, math.NaN()); err == nil {
+		t.Fatal("eps=NaN accepted")
+	}
 }
 
 func TestResetMatrix(t *testing.T) {
@@ -185,6 +191,9 @@ func TestResetMatrix(t *testing.T) {
 	}
 	if _, err := Reset(3, 1.5); err == nil {
 		t.Fatal("rho > 1 accepted")
+	}
+	if _, err := Reset(3, math.NaN()); err == nil {
+		t.Fatal("rho=NaN accepted")
 	}
 	if _, err := Reset(1, 0.5); err == nil {
 		t.Fatal("k=1 accepted")
@@ -235,6 +244,12 @@ func TestNearUniformRejects(t *testing.T) {
 	}
 	if _, err := NearUniform(3, 0.4, 0.9, r); err == nil {
 		t.Fatal("excessive spread accepted")
+	}
+	if _, err := NearUniform(3, math.NaN(), 0.1, r); err == nil {
+		t.Fatal("diag=NaN accepted")
+	}
+	if _, err := NearUniform(3, 0.4, math.NaN(), r); err == nil {
+		t.Fatal("spread=NaN accepted")
 	}
 }
 

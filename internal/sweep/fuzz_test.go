@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -41,6 +42,29 @@ func FuzzReadCheckpointFile(f *testing.F) {
 		}
 		if !reflect.DeepEqual(again.entries, cf.entries) {
 			t.Fatalf("canonical bytes changed the entries\n%q", canon)
+		}
+	})
+}
+
+// FuzzParseShard feeds arbitrary strings to the -shard parser. Every
+// input either errors, or yields a shard that passes Validate, is
+// Enabled, and re-parses from its "index/of" spelling to the same
+// value. The seed corpus lives in testdata/fuzz/FuzzParseShard.
+func FuzzParseShard(f *testing.F) {
+	f.Fuzz(func(t *testing.T, s string) {
+		sh, err := ParseShard(s)
+		if err != nil {
+			return
+		}
+		if err := sh.Validate(); err != nil {
+			t.Fatalf("ParseShard(%q) = %+v fails Validate: %v", s, sh, err)
+		}
+		if !sh.Enabled() {
+			t.Fatalf("ParseShard(%q) = %+v restricts nothing", s, sh)
+		}
+		canon := fmt.Sprintf("%d/%d", sh.Index, sh.Of)
+		if again, err := ParseShard(canon); err != nil || again != sh {
+			t.Fatalf("ParseShard(%q) = %+v, but its spelling %q re-parses to %+v, %v", s, sh, canon, again, err)
 		}
 	})
 }

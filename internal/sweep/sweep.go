@@ -289,7 +289,7 @@ func BuildMatrix(name string, k int, eps float64) (*noise.Matrix, error) {
 // source when delta = 0. Opinion 0 is always the designated correct
 // opinion.
 func InitialCounts(n int64, k int, delta float64) ([]int64, error) {
-	if delta < 0 || delta >= 1 {
+	if !(delta >= 0 && delta < 1) {
 		return nil, fmt.Errorf("sweep: initial bias δ=%v outside [0,1)", delta)
 	}
 	counts := make([]int64, k)

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -205,6 +206,9 @@ func TestInitialCounts(t *testing.T) {
 	}
 	if _, err := InitialCounts(1000, 3, 1.5); err == nil {
 		t.Fatal("δ > 1 accepted")
+	}
+	if _, err := InitialCounts(1000, 3, math.NaN()); err == nil {
+		t.Fatal("δ=NaN accepted")
 	}
 }
 
