@@ -88,13 +88,15 @@ chaos:
 # fuzz runs each fuzz target past its committed seed corpus
 # (testdata/fuzz/<target>/, which plain `go test` replays), one
 # invocation per target since `go test -fuzz` takes one target at a
-# time: the checkpoint journal parser and the -shard parser. CI runs
-# it at FUZZTIME=10s (per target); a crasher lands in testdata/fuzz as
-# a regression case.
+# time: the checkpoint journal parser, the -shard parser, and the
+# Stage-2 majority law against exhaustive enumeration. CI runs it at
+# FUZZTIME=10s (per target); a crasher lands in testdata/fuzz as a
+# regression case.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpointFile$$' -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzParseShard$$' -fuzztime $(FUZZTIME) ./internal/sweep
+	$(GO) test -run '^$$' -fuzz '^FuzzMajorityLawVsEnumeration$$' -fuzztime $(FUZZTIME) ./internal/census
 
 # perfbench is a nested module (the repo benchmark, see BENCHMARK.json),
 # so `go build ./...` and `go test ./...` never compile it; vet and

@@ -29,7 +29,7 @@ import (
 //
 // Domain: δ ∈ [0,1], ℓ ≥ 1.
 func G(delta float64, ell int) float64 {
-	if delta < 0 || delta > 1 {
+	if !(0 <= delta && delta <= 1) {
 		panic(fmt.Sprintf("analytic: G with δ=%v outside [0,1]", delta))
 	}
 	if ell < 1 {
@@ -200,7 +200,7 @@ func Lemma13Bounds(r int) (lo, hi float64) {
 //
 //	Pr(ΣX ≤ (1−θ)·E[ΣX] − θn) ≤ exp(−θ²(E[ΣX]+n)/4).
 func Lemma16Bound(theta, expectedSum float64, n int) float64 {
-	if theta <= 0 || theta >= 1 {
+	if !(0 < theta && theta < 1) {
 		panic(fmt.Sprintf("analytic: Lemma16Bound with θ=%v", theta))
 	}
 	if n < 1 {

@@ -268,6 +268,7 @@ func TestLemma16Threshold(t *testing.T) {
 func TestAnalyticPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { Prop1LowerBound(0.1, 5, 1) },
+		func() { G(math.NaN(), 5) },
 		func() { MajProbs(nil, 3) },
 		func() { MajProbs([]float64{0.5, 0.5}, 0) },
 		func() { MajProbs([]float64{0.5, 0.4}, 3) },
@@ -275,6 +276,7 @@ func TestAnalyticPanics(t *testing.T) {
 		func() { Lemma13Bounds(0) },
 		func() { Lemma16Bound(0, 1, 10) },
 		func() { Lemma16Bound(1, 1, 10) },
+		func() { Lemma16Bound(math.NaN(), 1, 10) },
 		func() { Lemma16Bound(0.5, 1, 0) },
 	} {
 		func() {

@@ -131,7 +131,7 @@ func certFlipTail(np, t int, rho float64) float64 {
 		return 0
 	}
 	odds := rho / (1 - rho)
-	term := dist.BinomialPMF(np, t+1, rho)
+	term := lnFact().binomPMF(np, t+1, rho, math.Log(rho), math.Log1p(-rho))
 	s := term
 	for i := t + 2; i <= np && term > 0; i++ {
 		r := float64(np-i+1) / float64(i) * odds
@@ -150,33 +150,44 @@ func certFlipTail(np, t int, rho float64) float64 {
 	return s
 }
 
-// certLfactSize bounds the memoized ln(i!) table: it covers every
+// lnFactSize bounds the memoized ln(i!) table: it covers every
 // realistic subsample size ℓ (schedules reach the low thousands at
 // n = 10¹²); larger arguments fall back to dist.BinomialPMF.
-const certLfactSize = 1 << 14
+const lnFactSize = 1 << 14
 
-// certLfact memoizes ln Γ(i+1). certSens runs on every cache miss and
-// certPairInner needs one binomial coefficient per outer T step; the
-// shared table turns its three Lgamma calls per step into array reads.
-var certLfact = sync.OnceValue(func() []float64 {
-	t := make([]float64, certLfactSize)
-	for i := range t {
-		t[i], _ = math.Lgamma(float64(i) + 1)
+// lnFactTable holds ln Γ(i+1) for i < lnFactSize.
+type lnFactTable [lnFactSize]float64
+
+// lnFactTab backs lnFact. It is a package-level array rather than a
+// make: the table then lives in static storage, so filling it never
+// allocates inside a measured run.
+var lnFactTab lnFactTable
+
+// lnFact returns the filled table of binomPMF, the census package's
+// one binomial pmf (majority law and certificate alike). Hot loops
+// fetch it once, not per term. It is deliberately separate from
+// dist's summation-filled ln n! table, whose values differ in the
+// last bits.
+var lnFact = sync.OnceValue(func() *lnFactTable {
+	for i := range lnFactTab {
+		lnFactTab[i], _ = math.Lgamma(float64(i) + 1)
 	}
-	return t
+	return &lnFactTab
 })
 
-// certBinomPMF is dist.BinomialPMF for the hot certPairInner path:
-// the caller supplies lp = ln p and lq = ln(1−p) once per pair, and
-// the log-binomial coefficient comes from the certLfact table — the
-// operations and their order replicate dist.BinomialPMF exactly, so
-// the value is bit-identical, at one Exp per call instead of five
-// transcendentals. Requires p ∈ (0, 1).
-func certBinomPMF(n, k int, p, lp, lq float64) float64 {
+// binomPMF is dist.BinomialPMF for callers that evaluate many terms at
+// one p: the caller supplies lp = ln p and lq = ln(1−p) (math.Log and
+// math.Log1p, hoisted out of its loop), and the log-binomial
+// coefficient is read from the table. The operations and their order
+// replicate dist.BinomialPMF exactly, so the value is bit-identical
+// (pinned by TestBinomPMFBitIdenticalToDist), at one Exp per call
+// instead of six transcendentals. p ∉ (0, 1) and n past the table fall
+// back to dist.BinomialPMF, which ignores lp and lq.
+func (tab *lnFactTable) binomPMF(n, k int, p, lp, lq float64) float64 {
 	if k < 0 || k > n {
 		return 0
 	}
-	if tab := certLfact(); n < len(tab) {
+	if n < len(tab) && 0 < p && p < 1 {
 		return math.Exp(tab[n] - tab[k] - tab[n-k] + float64(k)*lp + float64(n-k)*lq)
 	}
 	return dist.BinomialPMF(n, k, p)
@@ -194,15 +205,12 @@ func certBinomPMF(n, k int, p, lp, lq float64) float64 {
 // window ≥ d.
 func certPair(np int, p, p1 float64, m0, wmax int, ts []int, nt []float64) {
 	q := 1 - p
-	var lp1, lq1 float64
-	if p1 > 0 && p1 < 1 {
-		lp1, lq1 = math.Log(p1), math.Log1p(-p1)
-	}
+	lp1, lq1 := math.Log(p1), math.Log1p(-p1)
 	mode := int(math.Floor(float64(np+1) * p))
 	if mode > np {
 		mode = np
 	}
-	pm := dist.BinomialPMF(np, mode, p)
+	pm := lnFact().binomPMF(np, mode, p, math.Log(p), math.Log1p(-p))
 	visited := 0.0
 	pT := pm
 	for T := mode; T >= 0 && pT >= certOuterCut; T-- {
@@ -263,7 +271,7 @@ func certPairInner(T int, pT, p1, lp1, lq1 float64, m0, wmax int, ts []int, nt [
 	if x1 > T {
 		x1 = T
 	}
-	px := certBinomPMF(T, x0, p1, lp1, lq1)
+	px := lnFact().binomPMF(T, x0, p1, lp1, lq1)
 	for x := x0; x <= x1; x++ {
 		d := 2*x - T
 		if d < 0 {

@@ -3,8 +3,6 @@ package census
 import (
 	"fmt"
 	"math"
-
-	"github.com/gossipkit/noisyrumor/internal/dist"
 )
 
 // Stage1Law returns the exact phase-end law of one undecided node
@@ -70,6 +68,14 @@ func Stage1Law(lambda []float64) (adopt []float64, stay float64) {
 // independent of n and, once the windows bind, scales with the
 // binomial standard deviations rather than ℓ²; analytic.MajProbs (an
 // exhaustive enumeration) is the cross-check oracle at small ℓ.
+//
+// Every binomial term — the winning-count pmfs and the centre of each
+// rival window — comes from binomPMF, the package's one pmf kernel:
+// ln q_j and ln(1−q_j) are hoisted once per candidate (once per rival
+// for the windows) and the log-binomial coefficient is a table read,
+// so a term costs one Exp. The kernel is bit-identical to
+// dist.BinomialPMF, so the law and its dropped mass are the exact
+// floats of the Lgamma form.
 //
 // Two analytic fast paths skip the rival DP entirely while producing
 // bit-identical results (pinned by TestFastPathsBitIdenticalToDP): a
@@ -166,6 +172,7 @@ func (ev *lawEvaluator) eval(q []float64, ell int, tol float64) ([]float64, floa
 func (ev *lawEvaluator) evalGeneral(q []float64, ell int, mCut, stateCut float64, r []float64) ([]float64, float64) {
 	k := len(q)
 	dropped := 0.0
+	lf := lnFact()
 	dp := &ev.dp
 	dp.ensure(k, ell)
 	for j := 0; j < k; j++ {
@@ -174,8 +181,9 @@ func (ev *lawEvaluator) evalGeneral(q []float64, ell int, mCut, stateCut float64
 			// j can neither win nor tie for the maximum.
 			continue
 		}
+		lp, lq := math.Log(q[j]), math.Log1p(-q[j])
 		for m := 0; m <= ell; m++ {
-			pm := dist.BinomialPMF(ell, m, q[j])
+			pm := lf.binomPMF(ell, m, q[j], lp, lq)
 			if pm == 0 {
 				continue
 			}
@@ -201,12 +209,14 @@ func (ev *lawEvaluator) evalGeneral(q []float64, ell int, mCut, stateCut float64
 // the path is bit-identical to the DP at any tolerance.
 func (ev *lawEvaluator) evalBinary(q []float64, ell int, mCut, stateCut float64, r []float64) ([]float64, float64) {
 	dropped := 0.0
+	lf := lnFact()
 	for j := 0; j < 2; j++ {
 		if q[j] == 0 {
 			continue
 		}
+		lp, lq := math.Log(q[j]), math.Log1p(-q[j])
 		for m := 0; m <= ell; m++ {
-			pm := dist.BinomialPMF(ell, m, q[j])
+			pm := lf.binomPMF(ell, m, q[j], lp, lq)
 			if pm == 0 {
 				continue
 			}
@@ -306,6 +316,10 @@ func (dp *majorityDP) winProb(q []float64, j, m int, cut float64) (float64, floa
 			}
 		}
 		remMass -= q[i]
+		var lp, lq float64 // ln pc, ln(1−pc) for every binomRow of this rival
+		if !last {
+			lp, lq = math.Log(pc), math.Log1p(-pc)
+		}
 		for x := range g[:(balls+1)*k] {
 			g[x] = 0
 		}
@@ -344,7 +358,7 @@ func (dp *majorityDP) winProb(q []float64, j, m int, cut float64) (float64, floa
 					if R < amax {
 						amax = R
 					}
-					lo, hi, rowPruned = dp.binomRow(R, pc, amax, cut)
+					lo, hi, rowPruned = dp.binomRow(R, pc, lp, lq, amax, cut)
 					windowReady = true
 				}
 				pruned += v * rowPruned
@@ -379,9 +393,10 @@ func (dp *majorityDP) winProb(q []float64, j, m int, cut float64) (float64, floa
 // the window. Mass above amax (a rival count exceeding the candidate
 // winner) is deliberately not included — those profiles belong to
 // other (winner, count) terms, not to the truncation error. The PMF
-// is evaluated once at the in-range mode (log space) and extended by
-// its two-term recurrence, so a call costs O(amax) with a single Exp.
-func (dp *majorityDP) binomRow(R int, p float64, amax int, cut float64) (lo, hi int, pruned float64) {
+// is evaluated once at the in-range mode (binomPMF, with the caller's
+// lp = ln p and lq = ln(1−p)) and extended by its two-term recurrence,
+// so a call costs O(amax) with a single Exp.
+func (dp *majorityDP) binomRow(R int, p, lp, lq float64, amax int, cut float64) (lo, hi int, pruned float64) {
 	if amax > R {
 		amax = R
 	}
@@ -400,7 +415,7 @@ func (dp *majorityDP) binomRow(R int, p float64, amax int, cut float64) (lo, hi 
 	if mode > amax {
 		mode = amax
 	}
-	center := dist.BinomialPMF(R, mode, p)
+	center := lnFact().binomPMF(R, mode, p, lp, lq)
 	if center < cut {
 		// The entire in-cap range is below the cut. Its true mass is
 		// at most the cap-range CDF; bound it conservatively by the

@@ -179,3 +179,30 @@ func TestMajorityLawSampleSizeOne(t *testing.T) {
 		t.Fatalf("ℓ=1 law dropped %g mass", dropped)
 	}
 }
+
+// TestBinomPMFBitIdenticalToDist pins the law layer's shared pmf
+// kernel to dist.BinomialPMF bit for bit over an (n, k, p) grid: n on
+// both sides of the lnFact table edge (the fallback path), k at the
+// support ends, next to them and at the mode, and p at the degenerate
+// ends, near 0 and 1, and at 1e-300, where most terms underflow. Every
+// law and dropped mass stays the exact float of the Lgamma form only
+// while this holds.
+func TestBinomPMFBitIdenticalToDist(t *testing.T) {
+	ns := []int{0, 1, 2, 11, 81, 665, lnFactSize - 2, lnFactSize - 1, lnFactSize, lnFactSize + 3}
+	ps := []float64{0, 1e-300, 1e-12, 1e-3, 0.3, 0.5, 0.55, 1 - 1e-12, math.Nextafter(1, 0), 1, 1 + 1e-10}
+	for _, n := range ns {
+		for _, p := range ps {
+			lp, lq := math.Log(p), math.Log1p(-p)
+			mode := int(float64(n+1) * p)
+			if mode > n {
+				mode = n
+			}
+			for _, k := range []int{-1, 0, 1, mode - 1, mode, mode + 1, n - 1, n, n + 1} {
+				got, want := lnFact().binomPMF(n, k, p, lp, lq), dist.BinomialPMF(n, k, p)
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("binomPMF(%d, %d, %v) = %v, dist.BinomialPMF = %v — not bit-identical", n, k, p, got, want)
+				}
+			}
+		}
+	}
+}

@@ -116,16 +116,16 @@ func DefaultParams(eps float64) Params {
 // Validate checks the constants against the constraints of
 // Section 3.1.
 func (p Params) Validate() error {
-	if p.Epsilon <= 0 || p.Epsilon > 1 {
+	if !(0 < p.Epsilon && p.Epsilon <= 1) {
 		return fmt.Errorf("core: ε must be in (0,1], got %v", p.Epsilon)
 	}
-	if p.S <= 0 {
+	if !(0 < p.S) {
 		return fmt.Errorf("core: s must be positive, got %v", p.S)
 	}
 	if !(p.Phi > p.Beta && p.Beta > p.S) {
 		return fmt.Errorf("core: need φ > β > s, got φ=%v β=%v s=%v", p.Phi, p.Beta, p.S)
 	}
-	if p.C <= 0 || p.CPrime <= 0 {
+	if !(0 < p.C && 0 < p.CPrime) {
 		return fmt.Errorf("core: need c, c′ > 0, got c=%v c′=%v", p.C, p.CPrime)
 	}
 	if p.Stage2ExtraPhases < 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -22,6 +23,10 @@ func TestParamsValidation(t *testing.T) {
 		{Epsilon: 0.2, S: 1, Beta: 5, Phi: 4, C: 3, CPrime: 2},  // φ < β
 		{Epsilon: 0.2, S: 1, Beta: 2, Phi: 4, C: 0, CPrime: 2},  // c = 0
 		{Epsilon: 0.2, S: 1, Beta: 2, Phi: 4, C: 3, CPrime: -1}, // c′ < 0
+		{Epsilon: math.NaN(), S: 1, Beta: 2, Phi: 4, C: 3, CPrime: 2},
+		{Epsilon: 0.2, S: math.NaN(), Beta: 2, Phi: 4, C: 3, CPrime: 2},
+		{Epsilon: 0.2, S: 1, Beta: 2, Phi: 4, C: math.NaN(), CPrime: 2},
+		{Epsilon: 0.2, S: 1, Beta: 2, Phi: 4, C: 3, CPrime: math.NaN()},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -97,7 +97,7 @@ func (r *BisectResult) Contains(eps float64) bool {
 }
 
 func (b Bisect) validate() error {
-	if b.ProtoEps <= 0 || b.ProtoEps > 1 {
+	if !(0 < b.ProtoEps && b.ProtoEps <= 1) {
 		return fmt.Errorf("sweep: bisect needs protocol ε ∈ (0,1], got %v", b.ProtoEps)
 	}
 	if !(b.Lo < b.Hi) {
@@ -252,7 +252,7 @@ func (r Runner) RunBisect(b Bisect) (*BisectResult, error) {
 // so the crossing is unique. Errors when the boundary is not
 // bracketed.
 func LPBoundary(matrix string, k int, protoEps, delta, lo, hi float64) (float64, error) {
-	if delta <= 0 || delta > 1 {
+	if !(0 < delta && delta <= 1) {
 		return 0, fmt.Errorf("sweep: LPBoundary needs δ ∈ (0,1], got %v", delta)
 	}
 	maxEps := func(ch float64) (float64, error) {

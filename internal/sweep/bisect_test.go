@@ -4,6 +4,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -27,6 +28,9 @@ func TestLPBoundaryBinaryAnalytic(t *testing.T) {
 	// Unbracketed boundary must be an error, not a silent endpoint.
 	if _, err := LPBoundary("binary", 2, 0.9, 0.3, 0.01, 0.4); err == nil {
 		t.Fatal("unbracketed LP boundary accepted")
+	}
+	if _, err := LPBoundary("binary", 2, 0.3, math.NaN(), 0.01, 0.49); err == nil || !strings.Contains(err.Error(), "LPBoundary needs δ") {
+		t.Fatalf("NaN δ not refused up front: %v", err)
 	}
 }
 
@@ -161,5 +165,11 @@ func TestBisectRejectsBadSpecs(t *testing.T) {
 		if _, err := (Runner{}).RunBisect(bad); err == nil {
 			t.Fatalf("invalid bisect spec accepted: %+v", bad)
 		}
+	}
+	// A NaN protocol ε is refused by validation, before any trial runs.
+	nan := testBisect(40)
+	nan.ProtoEps = math.NaN()
+	if _, err := (Runner{}).RunBisect(nan); err == nil || !strings.Contains(err.Error(), "protocol ε") {
+		t.Fatalf("NaN protocol ε not refused up front: %v", err)
 	}
 }

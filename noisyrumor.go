@@ -200,6 +200,16 @@ func (c Config) validate() error {
 	return nil
 }
 
+// defaultEpsilon is the uniform-matrix contraction estimate
+// minDiag − 1/k when it is a valid protocol ε ∈ (0, 1], and 0.5
+// otherwise (a weak diagonal, or a NaN).
+func defaultEpsilon(minDiag float64, k int) float64 {
+	if eps := minDiag - 1.0/float64(k); 0 < eps && eps <= 1 {
+		return eps
+	}
+	return 0.5
+}
+
 func (c Config) params() Params {
 	// The backend name, its worker count and the census engine knobs
 	// are orthogonal to the protocol constants, so they are excluded
@@ -215,11 +225,7 @@ func (c Config) params() Params {
 		// A zero Params means "defaults": derive ε from the matrix's
 		// worst-case kept bias at δ=1 when possible, falling back to
 		// the uniform-matrix contraction estimate.
-		eps := c.Noise.MinDiagonal() - 1.0/float64(c.Noise.K())
-		if eps <= 0 || eps > 1 {
-			eps = 0.5
-		}
-		p := DefaultParams(eps)
+		p := DefaultParams(defaultEpsilon(c.Noise.MinDiagonal(), c.Noise.K()))
 		p.Backend = c.Params.Backend
 		p.Threads = c.Params.Threads
 		p.LawQuant = c.Params.LawQuant

@@ -188,6 +188,20 @@ func TestProcessPEngineRuns(t *testing.T) {
 	}
 }
 
+// TestDefaultEpsilonRejectsOutOfRange: the zero-Params ε estimate is
+// used only inside (0, 1]; a weak diagonal or a NaN takes the 0.5
+// fallback.
+func TestDefaultEpsilonRejectsOutOfRange(t *testing.T) {
+	if got := defaultEpsilon(0.8, 2); math.Abs(got-0.3) > 1e-15 {
+		t.Fatalf("defaultEpsilon(0.8, 2) = %v, want 0.3", got)
+	}
+	for _, minDiag := range []float64{0.2, math.NaN()} {
+		if got := defaultEpsilon(minDiag, 2); got != 0.5 {
+			t.Fatalf("defaultEpsilon(%v, 2) = %v, want the 0.5 fallback", minDiag, got)
+		}
+	}
+}
+
 func TestZeroParamsFallbackForWeakDiagonal(t *testing.T) {
 	// A matrix whose diagonal is below 1/k would give a non-positive
 	// derived ε; the facade must fall back to a sane default rather
