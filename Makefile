@@ -88,8 +88,9 @@ chaos:
 # fuzz runs each fuzz target past its committed seed corpus
 # (testdata/fuzz/<target>/, which plain `go test` replays), one
 # invocation per target since `go test -fuzz` takes one target at a
-# time: the checkpoint journal parser, the -shard parser, and the
-# Stage-2 majority law against exhaustive enumeration. CI runs it at
+# time: the checkpoint journal parser, the -shard parser, the Stage-2
+# majority law against exhaustive enumeration, and the checked int64
+# helpers against math/big. CI runs it at
 # FUZZTIME=10s (per target); a crasher lands in testdata/fuzz as a
 # regression case.
 FUZZTIME ?= 30s
@@ -97,6 +98,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCheckpointFile$$' -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzParseShard$$' -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzMajorityLawVsEnumeration$$' -fuzztime $(FUZZTIME) ./internal/census
+	$(GO) test -run '^$$' -fuzz '^FuzzCheckedArith$$' -fuzztime $(FUZZTIME) ./internal/checked
 
 # perfbench is a nested module (the repo benchmark, see BENCHMARK.json),
 # so `go build ./...` and `go test ./...` never compile it; vet and
@@ -123,10 +125,12 @@ bench-json: lint
 	| tee /dev/stderr \
 	| $(GO) run ./cmd/benchjson -label BENCH_$(BENCH_N) > BENCH_$(BENCH_N).json
 
-# profile records CPU and allocation pprof profiles of the two Stage-2
-# hot paths — the n = 10⁹ census Stage-2 phase (exact + quantized) and
-# the threshold-straddling sweep grid — so hot-path PRs start from a
-# measured profile instead of a guess (see DESIGN.md §4). Inspect with
+# profile records CPU and allocation pprof profiles of the Stage-2 hot
+# paths — the n = 10⁹ census Stage-2 phase (exact + quantized), the
+# threshold-straddling k = 2 sweep grid, and the k = 3 majority law,
+# i.e. the rival DP every exact k ≥ 3 phase runs — so hot-path PRs
+# start from a measured profile instead of a guess (see DESIGN.md §4).
+# Inspect with
 #   go tool pprof -top profiles/census_cpu.prof
 profile:
 	mkdir -p profiles
@@ -136,6 +140,8 @@ profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkSweepGridPoints' -benchtime 5x -timeout 30m \
 	    -cpuprofile profiles/sweep_cpu.prof -memprofile profiles/sweep_mem.prof \
 	    -o profiles/sweep.test ./internal/sweep
+	$(GO) test -run '^$$' -bench 'BenchmarkMajorityLaw/k=3/' -benchtime 2s -timeout 30m \
+	    -cpuprofile profiles/law_k3_cpu.prof -o profiles/law_k3.test ./internal/census
 	@echo "profiles written to profiles/; inspect with: go tool pprof -top profiles/census_cpu.prof"
 
 check: build lint race sweep-smoke obs-smoke chaos perfbench-test bench-quick

@@ -15,7 +15,10 @@ import (
 // all-zero weights are skipped). Truncation only ever drops
 // non-negative mass, so every coordinate must sit within the reported
 // dropped mass of the exact law (plus float slop), and the dropped
-// mass must stay within the requested tolerance. The seed corpus lives
+// mass must stay within the requested tolerance. An evaluator that
+// first ran a second law, at a (k′, ℓ′, q′, tol′) drawn from the same
+// inputs, must then return the fresh law bit for bit and leave its DP
+// layers all-zero: reuse may never leak state. The seed corpus lives
 // in testdata/fuzz/FuzzMajorityLawVsEnumeration, and plain `go test`
 // replays it.
 func FuzzMajorityLawVsEnumeration(f *testing.F) {
@@ -39,6 +42,27 @@ func FuzzMajorityLawVsEnumeration(f *testing.F) {
 		}
 
 		r, dropped := MajorityLaw(q, ell, tol)
+
+		var ev lawEvaluator
+		q2 := make([]float64, 2+int(kb/4)%5)
+		for j := range q2 {
+			q2[j] = q[j%k] + 1/float64(j+2)
+		}
+		normalize(q2)
+		ev.eval(q2, 1+int(ellb/12)*3, tols[int(tolb/4)%len(tols)])
+		r2, dropped2 := ev.eval(q, ell, tol)
+		if math.Float64bits(dropped2) != math.Float64bits(dropped) {
+			t.Fatalf("q=%v ℓ=%d tol=%g after q′=%v: reused dropped %v, fresh %v", q, ell, tol, q2, dropped2, dropped)
+		}
+		for j := range r {
+			if math.Float64bits(r2[j]) != math.Float64bits(r[j]) {
+				t.Fatalf("q=%v ℓ=%d tol=%g after q′=%v: reused r[%d]=%v, fresh %v", q, ell, tol, q2, j, r2[j], r[j])
+			}
+		}
+		if layer, i, v := dpLayersDirty(&ev.dp); i >= 0 {
+			t.Fatalf("q=%v ℓ=%d tol=%g after q′=%v: dp.%s[%d] = %v, want all-zero layers", q, ell, tol, q2, layer, i, v)
+		}
+
 		exact := analytic.MajProbs(q, ell)
 		if !(0 <= dropped && dropped <= tol) {
 			t.Fatalf("q=%v ℓ=%d tol=%g: dropped %v outside [0, tol]", q, ell, tol, dropped)

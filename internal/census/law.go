@@ -66,8 +66,10 @@ func Stage1Law(lambda []float64) (adopt []float64, stay float64) {
 // with binomial mass below tol/(4(ℓ+1)), DP states below an analogous
 // cut, and per-rival count windows pruned below the cut. The cost is
 // independent of n and, once the windows bind, scales with the
-// binomial standard deviations rather than ℓ²; analytic.MajProbs (an
-// exhaustive enumeration) is the cross-check oracle at small ℓ.
+// binomial standard deviations rather than ℓ²: the DP scans and clears
+// only the band of ball rows its pruned windows can reach, never the
+// full (ℓ−m+1)·k layer. analytic.MajProbs (an exhaustive enumeration)
+// is the cross-check oracle at small ℓ.
 //
 // Every binomial term — the winning-count pmfs and the centre of each
 // rival window — comes from binomPMF, the package's one pmf kernel:
@@ -259,8 +261,10 @@ type majorityDP struct {
 
 // ensure sizes the scratch for a (k, ℓ) evaluation, growing (never
 // shrinking) the backing arrays so an evaluator amortizes to zero
-// allocations. Stale buffer contents are harmless: winProb zeroes the
-// layers it reads and binomRow's window is fully rewritten before use.
+// allocations. f and g are all-zero between winProb calls — winProb
+// clears the rows it wrote before returning — so they are valid at
+// any new row width k; binomRow's window is fully rewritten before
+// use.
 func (dp *majorityDP) ensure(k, ell int) {
 	dp.k, dp.ell = k, ell
 	if need := (ell + 1) * k; len(dp.f) < need {
@@ -277,6 +281,16 @@ func (dp *majorityDP) ensure(k, ell int) {
 // pruned below cut. The rival profile conditional on Y_j = m is
 // Multinomial(ell−m, q_{−j}/(1−q_j)), factored into sequential
 // conditional binomials in opinion order.
+//
+// The DP is band-limited: after r rivals a layer can be non-zero only
+// on the rows (balls placed) reachable through their pruned windows,
+// so winProb tracks that row band [flo, fhi] of f, scans only it, and
+// records the band it writes into g. Both layers are all-zero outside
+// their bands; a layer is cleared over its stale band before reuse,
+// and both bands are cleared before returning, so dp.f and dp.g are
+// all-zero between calls. Rows outside the band held only zeros, which
+// the full scan skipped, so every cell receives the same additions in
+// the same order and the result is bit-identical to the full scan.
 func (dp *majorityDP) winProb(q []float64, j, m int, cut float64) (float64, float64) {
 	k := dp.k
 	balls := dp.ell - m // rival balls to place
@@ -290,10 +304,9 @@ func (dp *majorityDP) winProb(q []float64, j, m int, cut float64) (float64, floa
 		return 0, 0
 	}
 	f, g := dp.f, dp.g
-	for i := range f[:(balls+1)*k] {
-		f[i] = 0
-	}
-	f[0] = 1 // ballsPlaced=0, ties=0
+	f[0] = 1          // ballsPlaced=0, ties=0
+	flo, fhi := 0, 0  // rows of f that may be non-zero
+	glo, ghi := 0, -1 // rows of g that may be non-zero (stale)
 	remMass := 1 - q[j]
 	pruned := 0.0
 	rivals := 0
@@ -320,10 +333,9 @@ func (dp *majorityDP) winProb(q []float64, j, m int, cut float64) (float64, floa
 		if !last {
 			lp, lq = math.Log(pc), math.Log1p(-pc)
 		}
-		for x := range g[:(balls+1)*k] {
-			g[x] = 0
-		}
-		for b := 0; b <= balls; b++ {
+		clearRows(g, glo, ghi, k)
+		glo, ghi = balls+1, -1
+		for b := flo; b <= fhi; b++ {
 			row := f[b*k : b*k+k]
 			R := balls - b
 			lo, hi := 0, -1
@@ -351,6 +363,7 @@ func (dp *majorityDP) winProb(q []float64, j, m int, cut float64) (float64, floa
 						ti++
 					}
 					g[(b+R)*k+ti] += v
+					glo, ghi = balls, balls // b+R
 					continue
 				}
 				if !windowReady {
@@ -360,6 +373,9 @@ func (dp *majorityDP) winProb(q []float64, j, m int, cut float64) (float64, floa
 					}
 					lo, hi, rowPruned = dp.binomRow(R, pc, lp, lq, amax, cut)
 					windowReady = true
+					if lo <= hi {
+						glo, ghi = min(glo, b+lo), max(ghi, b+hi)
+					}
 				}
 				pruned += v * rowPruned
 				for a := lo; a <= hi; a++ {
@@ -376,6 +392,7 @@ func (dp *majorityDP) winProb(q []float64, j, m int, cut float64) (float64, floa
 			}
 		}
 		f, g = g, f
+		flo, fhi, glo, ghi = glo, ghi, flo, fhi
 	}
 	win := 0.0
 	row := f[balls*k : balls*k+k]
@@ -384,7 +401,17 @@ func (dp *majorityDP) winProb(q []float64, j, m int, cut float64) (float64, floa
 			win += v / float64(t+1)
 		}
 	}
+	clearRows(f, flo, fhi, k)
+	clearRows(g, glo, ghi, k)
 	return win, pruned
+}
+
+// clearRows zeroes rows lo..hi of a DP layer with row width k; an
+// empty band (lo > hi) clears nothing.
+func clearRows(x []float64, lo, hi, k int) {
+	if lo <= hi {
+		clear(x[lo*k : (hi+1)*k])
+	}
 }
 
 // binomRow fills dp.pmf[a] = Pr(Binomial(R, p) = a) for a in the

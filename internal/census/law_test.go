@@ -1,11 +1,15 @@
 package census
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 
 	"github.com/gossipkit/noisyrumor/internal/analytic"
 	"github.com/gossipkit/noisyrumor/internal/dist"
+	"github.com/gossipkit/noisyrumor/internal/rng"
 )
 
 // TestMajorityLawMatchesEnumeration pins the truncated summation
@@ -204,5 +208,99 @@ func TestBinomPMFBitIdenticalToDist(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// lawDigestGrid is the fixed, seeded grid of MajorityLaw inputs that
+// TestMajorityLawDigest hashes: every k ∈ {3, 4, 5, 8} against every
+// ℓ ∈ {1, 2, 11, 125, 577, 665}, each pair once per tolerance of the
+// ladder, with the q shape rotating across the four tolerances so
+// every (k, ℓ) meets every shape: random weights, random weights with
+// zero entries, one near-one entry (1 − 10⁻¹⁵ … 1 − 10⁻⁴) with the
+// remainder spread at random, and the skewed plurality of
+// BenchmarkMajorityLaw with random jitter.
+func lawDigestGrid(yield func(q []float64, ell int, tol float64)) {
+	tols := [...]float64{1e-13, 1e-9, 1e-5, 1e-3}
+	nearOne := [...]float64{1e-15, 1e-12, 1e-9, 1e-4}
+	r := rng.New(20161025)
+	for _, k := range []int{3, 4, 5, 8} {
+		for _, ell := range []int{1, 2, 11, 125, 577, 665} {
+			for ti, tol := range tols {
+				q := make([]float64, k)
+				switch shape := (ti + k + ell) % 4; shape {
+				case 0, 1:
+					for j := range q {
+						q[j] = r.Float64()
+					}
+					if shape == 1 {
+						q[r.Intn(k)] = 0
+						if k >= 5 {
+							q[r.Intn(k)] = 0
+						}
+						q[r.Intn(k)] += 0.1 // never all zero
+					}
+				case 2:
+					top := r.Intn(k)
+					rest := nearOne[r.Intn(len(nearOne))]
+					for j := range q {
+						if j != top {
+							q[j] = r.Float64()
+						}
+					}
+					normalize(q)
+					for j := range q {
+						q[j] *= rest
+					}
+					q[top] = 1 - rest
+					yield(q, ell, tol)
+					continue
+				case 3:
+					for j := range q {
+						q[j] = 1 + 0.05*r.Float64()
+					}
+					q[0] += 0.05 * float64(k)
+				}
+				normalize(q)
+				yield(q, ell, tol)
+			}
+		}
+	}
+}
+
+func normalize(q []float64) {
+	sum := 0.0
+	for _, p := range q {
+		sum += p
+	}
+	for j := range q {
+		q[j] /= sum
+	}
+}
+
+// TestMajorityLawDigest pins every bit of MajorityLaw — r and the
+// dropped mass — over lawDigestGrid by a SHA-256 of their Float64bits.
+// The digest was computed before the rival DP was band-limited and
+// proves that change (and any later speed-up of the law) bit-identical:
+// every -law-quant 0 trajectory and every golden rests on these floats.
+// A moved digest is a bug in the law, not a value to re-pin.
+func TestMajorityLawDigest(t *testing.T) {
+	const want = "590f5ba8256ba11e29d19e2cf93a86fe93701882a3f3d2b05cf7ec6174281883"
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v float64) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+	n := 0
+	lawDigestGrid(func(q []float64, ell int, tol float64) {
+		r, dropped := MajorityLaw(q, ell, tol)
+		for _, v := range r {
+			put(v)
+		}
+		put(dropped)
+		n++
+	})
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("MajorityLaw digest over %d laws = %s, want %s: the law's floats moved", n, got, want)
 	}
 }

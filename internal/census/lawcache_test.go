@@ -1,6 +1,7 @@
 package census
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -214,7 +215,10 @@ func TestFastPathsBitIdenticalToDP(t *testing.T) {
 
 // TestLawEvaluatorMatchesMajorityLaw: the reusable evaluator must
 // return the exact floats of the allocating wrapper, including across
-// reuse at varying (k, ℓ) — stale buffer contents may never leak.
+// reuse at varying (k, ℓ) — stale buffer contents may never leak. The
+// tail reuses one evaluator at k 8 → 3 → 5 with ℓ 577 → 125, the
+// shrinking sequence in which a layer row width changes under rows
+// the previous law wrote.
 func TestLawEvaluatorMatchesMajorityLaw(t *testing.T) {
 	var ev lawEvaluator
 	cases := []struct {
@@ -226,6 +230,9 @@ func TestLawEvaluatorMatchesMajorityLaw(t *testing.T) {
 		{[]float64{0.7, 0.3}, 11},
 		{[]float64{0.25, 0.25, 0.25, 0.25}, 81},
 		{[]float64{0.5, 0.3, 0.2}, 5},
+		{[]float64{0.3, 0.2, 0.15, 0.1, 0.1, 0.05, 0.05, 0.05}, 577},
+		{[]float64{0.4, 0.35, 0.25}, 125},
+		{[]float64{0.3, 0.25, 0.2, 0.15, 0.1}, 125},
 	}
 	for _, c := range cases {
 		want, wd := MajorityLaw(c.q, c.ell, 1e-13)
@@ -238,6 +245,72 @@ func TestLawEvaluatorMatchesMajorityLaw(t *testing.T) {
 				t.Errorf("q=%v ℓ=%d: r[%d] = %v vs %v", c.q, c.ell, j, got[j], want[j])
 			}
 		}
+	}
+}
+
+// dpLayersDirty returns the first non-zero cell of the rival DP's two
+// layers over their full length, or i = −1 when both are all-zero —
+// the invariant winProb restores before it returns.
+func dpLayersDirty(dp *majorityDP) (layer string, i int, v float64) {
+	for _, l := range [...]struct {
+		name string
+		x    []float64
+	}{{"f", dp.f}, {"g", dp.g}} {
+		for i, v := range l.x {
+			if v != 0 {
+				return l.name, i, v
+			}
+		}
+	}
+	return "", -1, 0
+}
+
+// TestMajorityDPLayersZeroAfterEval pins the band-limited DP's
+// clean-on-exit invariant: dp.f and dp.g are all-zero over their full
+// length after every eval and every winProb call, whichever way it
+// returned — the balls == 0 and m == 0 early returns, a root state
+// pruned below the cut, rows whose whole binomial window falls below
+// the cut, and evaluator reuse at k 8 → 3 → 5 with ℓ 577 → 125.
+func TestMajorityDPLayersZeroAfterEval(t *testing.T) {
+	check := func(what string, dp *majorityDP) {
+		t.Helper()
+		if layer, i, v := dpLayersDirty(dp); i >= 0 {
+			t.Fatalf("%s: dp.%s[%d] = %v, want all-zero layers", what, layer, i, v)
+		}
+	}
+	var dp majorityDP
+	q := []float64{0.5, 0.3, 0.2}
+	dp.ensure(len(q), 40)
+	for _, c := range []struct {
+		name string
+		m    int
+		cut  float64
+	}{
+		{"balls == 0", 40, 1e-16},
+		{"m == 0", 0, 1e-16},
+		{"root state pruned", 20, 2},
+		{"windows below the cut", 10, 0.3},
+		{"plain", 15, 1e-16},
+	} {
+		dp.winProb(q, 0, c.m, c.cut)
+		check(c.name, &dp)
+	}
+
+	var ev lawEvaluator
+	for _, c := range []struct {
+		q   []float64
+		ell int
+		tol float64
+	}{
+		{[]float64{0.3, 0.2, 0.15, 0.1, 0.1, 0.05, 0.05, 0.05}, 577, 1e-13},
+		{[]float64{0.4, 0.35, 0.25}, 125, 1e-13},
+		{[]float64{0.3, 0.25, 0.2, 0.15, 0.1}, 125, 1e-3},
+		{[]float64{0.5, 0.5, 0}, 11, 1e-13},             // a zero candidate
+		{[]float64{1 - 1e-12, 5e-13, 5e-13}, 125, 1e-9}, // a near-one pool
+		{[]float64{0.7, 0.3}, 11, 1e-13},                // k = 2: no DP
+	} {
+		ev.eval(c.q, c.ell, c.tol)
+		check(fmt.Sprintf("eval(q=%v, ℓ=%d, tol=%g)", c.q, c.ell, c.tol), &ev.dp)
 	}
 }
 
