@@ -89,8 +89,9 @@ chaos:
 # (testdata/fuzz/<target>/, which plain `go test` replays), one
 # invocation per target since `go test -fuzz` takes one target at a
 # time: the checkpoint journal parser, the -shard parser, the Stage-2
-# majority law against exhaustive enumeration, and the checked int64
-# helpers against math/big. CI runs it at
+# majority law against exhaustive enumeration, the checked int64
+# helpers against math/big, and the regularized incomplete beta
+# against the binomial term sum. CI runs it at
 # FUZZTIME=10s (per target); a crasher lands in testdata/fuzz as a
 # regression case.
 FUZZTIME ?= 30s
@@ -99,6 +100,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseShard$$' -fuzztime $(FUZZTIME) ./internal/sweep
 	$(GO) test -run '^$$' -fuzz '^FuzzMajorityLawVsEnumeration$$' -fuzztime $(FUZZTIME) ./internal/census
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckedArith$$' -fuzztime $(FUZZTIME) ./internal/checked
+	$(GO) test -run '^$$' -fuzz '^FuzzRegIncBetaVsBinomialSum$$' -fuzztime $(FUZZTIME) ./internal/dist
 
 # perfbench is a nested module (the repo benchmark, see BENCHMARK.json),
 # so `go build ./...` and `go test ./...` never compile it; vet and

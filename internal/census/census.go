@@ -46,7 +46,10 @@
 // ErrorBudget. At the default tolerance the budget is bounded by
 // ~20 phases × n × 10⁻¹³ ≈ 2·10⁻³ for an n = 10⁹ sweep; realized
 // truncation sits far inside the per-phase tolerance, so the measured
-// budget is ≈ 10⁻⁵ (see DESIGN.md §2 and E20).
+// budget of an exact k ≥ 3 run is ≈ 10⁻⁵ (see DESIGN.md §2 and E20).
+// An exact k = 2 run's budget is 0: its Stage-2 law is a closed-form
+// binomial tail that truncates nothing. Float rounding (≈10⁻¹⁴ per
+// law) is charged on neither path.
 //
 // Determinism: a run is a pure function of the engine's rng stream
 // (hence of the seed). Draws happen in a fixed serial order — noise

@@ -3,6 +3,8 @@ package census
 import (
 	"fmt"
 	"math"
+
+	"github.com/gossipkit/noisyrumor/internal/dist"
 )
 
 // Stage1Law returns the exact phase-end law of one undecided node
@@ -55,13 +57,13 @@ func Stage1Law(lambda []float64) (adopt []float64, stay float64) {
 // per-node quantity the engine wires into its Lemma-3 coupling
 // budget.
 //
-// The evaluation sums over received-count profiles in factored form.
-// For each candidate winner j and winning count m, Pr(Y_j = m) is a
-// binomial term; conditional on it the rival profile is
-// Multinomial(ell−m, q_{−j}/(1−q_j)), scanned by a dynamic program
-// over rival opinions tracking (balls placed, rivals tied at m), all
-// placed counts ≤ m; a terminal state with t ties contributes its
-// mass/(t+1), the uniform tie-break. Truncation — all of it
+// For k ≥ 3 the evaluation sums over received-count profiles in
+// factored form. For each candidate winner j and winning count m,
+// Pr(Y_j = m) is a binomial term; conditional on it the rival
+// profile is Multinomial(ell−m, q_{−j}/(1−q_j)), scanned by a
+// dynamic program over rival opinions tracking (balls placed, rivals
+// tied at m), all placed counts ≤ m; a terminal state with t ties
+// contributes its mass/(t+1), the uniform tie-break. Truncation — all of it
 // accounted into dropped — happens at three sites: winning counts m
 // with binomial mass below tol/(4(ℓ+1)), DP states below an analogous
 // cut, and per-rival count windows pruned below the cut. The cost is
@@ -71,20 +73,23 @@ func Stage1Law(lambda []float64) (adopt []float64, stay float64) {
 // full (ℓ−m+1)·k layer. analytic.MajProbs (an exhaustive enumeration)
 // is the cross-check oracle at small ℓ.
 //
-// Every binomial term — the winning-count pmfs and the centre of each
-// rival window — comes from binomPMF, the package's one pmf kernel:
-// ln q_j and ln(1−q_j) are hoisted once per candidate (once per rival
-// for the windows) and the log-binomial coefficient is a table read,
-// so a term costs one Exp. The kernel is bit-identical to
-// dist.BinomialPMF, so the law and its dropped mass are the exact
-// floats of the Lgamma form.
+// Every binomial term of the DP — the winning-count pmfs and the
+// centre of each rival window — comes from binomPMF, the package's
+// one pmf kernel: ln q_j and ln(1−q_j) are hoisted once per candidate
+// (once per rival for the windows) and the log-binomial coefficient
+// is a table read, so a term costs one Exp. The kernel is
+// bit-identical to dist.BinomialPMF, so the law and its dropped mass
+// are the exact floats of the Lgamma form.
 //
-// Two analytic fast paths skip the rival DP entirely while producing
-// bit-identical results (pinned by TestFastPathsBitIdenticalToDP): a
-// point-mass q (the consensus endgame, where most phases of a winning
-// trial live) collapses to r = q in O(k), and k = 2 reduces to the
-// plain binomial tail of TestMajorityLawBinomialIdentity, truncation
-// sites included.
+// Two analytic fast paths skip the rival DP entirely. A point-mass q
+// (the consensus endgame, where most phases of a winning trial live)
+// collapses to r = q in O(k), bit-identical to the DP. k = 2 is the
+// closed binomial tail of Lemma 8, one regularized incomplete beta
+// per opinion (evalBinary): it truncates nothing, so dropped = 0,
+// and it is not bit-identical to the DP but within the DP's dropped
+// mass plus float rounding of it (TestFastPathsBitIdenticalToDP) and
+// within 1e-14 of an exact 256-bit tail (TestBinaryLawVsBigFloat).
+// Float rounding is not charged to dropped on either path.
 //
 // MajorityLaw allocates its result and scratch; hot paths hold a
 // lawEvaluator and call eval, which reuses both.
@@ -163,14 +168,14 @@ func (ev *lawEvaluator) eval(q []float64, ell int, tol float64) ([]float64, floa
 		}
 	}
 	if k == 2 {
-		return ev.evalBinary(q, ell, mCut, stateCut, r)
+		return ev.evalBinary(q, ell, r)
 	}
 	return ev.evalGeneral(q, ell, mCut, stateCut, r)
 }
 
 // evalGeneral is the winner×count binomial factoring with the rival
 // DP — the path every k ≥ 3 non-degenerate pool takes, and the
-// reference the fast paths are pinned bit-identical against.
+// reference the fast paths are checked against.
 func (ev *lawEvaluator) evalGeneral(q []float64, ell int, mCut, stateCut float64, r []float64) ([]float64, float64) {
 	k := len(q)
 	dropped := 0.0
@@ -201,52 +206,26 @@ func (ev *lawEvaluator) evalGeneral(q []float64, ell int, mCut, stateCut float64
 	return r, dropped
 }
 
-// evalBinary is the k = 2 analytic fast path: the single rival absorbs
-// all remaining balls, so conditional on Y_j = m the outcome is
-// deterministic — a strict win for m > ℓ−m, a two-way u.a.r. tie at
-// m = ℓ−m, a loss below — and the law is the plain binomial tail of
-// TestMajorityLawBinomialIdentity. Every branch mirrors a winProb
-// branch (balls == 0 / m == 0 early returns, the stateCut prune of the
-// unit root state, the R > m loss) with the same float arithmetic, so
-// the path is bit-identical to the DP at any tolerance.
-func (ev *lawEvaluator) evalBinary(q []float64, ell int, mCut, stateCut float64, r []float64) ([]float64, float64) {
-	dropped := 0.0
-	lf := lnFact()
-	for j := 0; j < 2; j++ {
-		if q[j] == 0 {
-			continue
+// evalBinary is the k = 2 closed form: the single rival absorbs all
+// remaining balls, so opinion j wins outright when Y_j ≥ h+1 with
+// h = ⌊ℓ/2⌋ and ties u.a.r. at Y_j = ℓ/2 for even ℓ. The strict-win
+// tail Pr(Y_j ≥ h+1) is the regularized incomplete beta I_{q_j}(h+1,
+// ℓ−h) of Lemma 8, one continued fraction instead of a term-by-term
+// pmf sum, and the tie adds half the central pmf. Nothing is
+// truncated, so dropped is 0; float rounding (≈10⁻¹⁴ absolute) is not
+// charged, on this path or on the DP.
+func (ev *lawEvaluator) evalBinary(q []float64, ell int, r []float64) ([]float64, float64) {
+	h := ell / 2
+	for j, p := range q {
+		if p == 0 {
+			continue // Y_j = 0 < ℓ−Y_j surely
 		}
-		lp, lq := math.Log(q[j]), math.Log1p(-q[j])
-		for m := 0; m <= ell; m++ {
-			pm := lf.binomPMF(ell, m, q[j], lp, lq)
-			if pm == 0 {
-				continue
-			}
-			if pm < mCut {
-				dropped += pm
-				continue
-			}
-			balls := ell - m
-			switch {
-			case balls == 0:
-				r[j] += pm // winProb's ball-free strict win
-			case m == 0:
-				// The rival holds ≥ 1 balls: a sure loss.
-			case 1 < stateCut:
-				// The DP's unit root state falls below the cut; the
-				// general path prunes the whole conditional mass.
-				dropped += pm
-			case balls > m:
-				// The rival's forced count beats m: a loss, not
-				// truncation.
-			case balls == m:
-				r[j] += pm * 0.5 // two-way tie, broken u.a.r.
-			default:
-				r[j] += pm // strict win
-			}
+		r[j] = dist.RegIncBeta(float64(h+1), float64(ell-h), p)
+		if ell%2 == 0 {
+			r[j] += 0.5 * lnFact().binomPMF(ell, h, p, math.Log(p), math.Log1p(-p))
 		}
 	}
-	return r, dropped
+	return r, 0
 }
 
 // majorityDP holds the scratch buffers of the rival-profile scan so

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"math/big"
 	"testing"
 
 	"github.com/gossipkit/noisyrumor/internal/analytic"
@@ -54,6 +55,66 @@ func TestMajorityLawBinomialIdentity(t *testing.T) {
 	}
 	if math.Abs(r[0]+r[1]-1) > 1e-9+dropped {
 		t.Fatalf("k=2 law does not sum to 1: %v", r)
+	}
+}
+
+// bigBinaryLaw is the k = 2 majority law of opinion 0 at 256-bit
+// precision: Pr(X > ℓ/2) + ½·Pr(X = ℓ/2) for X ~ Binomial(ℓ, p),
+// summed from the pmf recurrence t_{i+1} = t_i·(ℓ−i)/(i+1)·p/(1−p).
+// p is a float64, so every input is exact and the only error is the
+// 256-bit rounding of ~3ℓ operations.
+func bigBinaryLaw(ell int, p float64) float64 {
+	if p == 1 {
+		return 1
+	}
+	const prec = 256
+	nf := func(x float64) *big.Float { return new(big.Float).SetPrec(prec).SetFloat64(x) }
+	bp := nf(p)
+	bq := new(big.Float).SetPrec(prec).Sub(nf(1), bp)
+	t := nf(1) // (1−p)^ℓ
+	for i := 0; i < ell; i++ {
+		t.Mul(t, bq)
+	}
+	ratio := new(big.Float).SetPrec(prec).Quo(bp, bq)
+	sum := nf(0)
+	for i := 0; i <= ell; i++ {
+		switch {
+		case 2*i > ell:
+			sum.Add(sum, t)
+		case 2*i == ell:
+			sum.Add(sum, new(big.Float).SetPrec(prec).Mul(t, nf(0.5)))
+		}
+		if i < ell {
+			t.Mul(t, nf(float64(ell-i)))
+			t.Quo(t, nf(float64(i+1)))
+			t.Mul(t, ratio)
+		}
+	}
+	v, _ := sum.Float64()
+	return v
+}
+
+// TestBinaryLawVsBigFloat bounds the k = 2 closed form against a
+// 256-bit binomial tail: |r_j − exact| ≤ 1e-14 for both opinions at
+// odd and even ℓ, with skewed, near-½ and 10⁻⁶ pools, and dropped = 0
+// at every tolerance.
+func TestBinaryLawVsBigFloat(t *testing.T) {
+	for _, ell := range []int{1, 2, 3, 16, 81, 665, 2001} {
+		for _, q0 := range []float64{0.7, 0.3, 0.55, 0.999, 0.5, 0.5 + 1e-3, 0.5 - 1e-9, 0.5 + 0.5/math.Sqrt(float64(ell+1)), 1e-6, 1 - 1e-6} {
+			q := []float64{q0, 1 - q0}
+			for _, tol := range []float64{1e-13, 1e-3} {
+				r, dropped := MajorityLaw(q, ell, tol)
+				if dropped != 0 {
+					t.Errorf("q=%v ℓ=%d tol=%g: dropped %v, want 0", q, ell, tol, dropped)
+				}
+				for j := range q {
+					want := bigBinaryLaw(ell, q[j])
+					if d := math.Abs(r[j] - want); d > 1e-14 {
+						t.Errorf("q=%v ℓ=%d: r[%d] = %.17g, exact %.17g (|Δ| = %.3g)", q, ell, j, r[j], want, d)
+					}
+				}
+			}
+		}
 	}
 }
 

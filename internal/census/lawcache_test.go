@@ -3,6 +3,7 @@ package census
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -169,10 +170,16 @@ func TestQuantBudgetDominatesLawTV(t *testing.T) {
 	}
 }
 
-// TestFastPathsBitIdenticalToDP pins the analytic fast paths bit for
-// bit against the general winner×count DP they replace — the
-// guarantee that lets `-law-quant 0` engines keep reproducing
-// pre-fast-path trajectories exactly.
+// TestFastPathsBitIdenticalToDP holds the analytic fast paths to the
+// general winner×count DP they skip. The point-mass path is pinned
+// bit for bit. The k = 2 closed form is not bit-identical — it sums
+// nothing term by term — so its half is an accuracy bound: it drops
+// nothing, and |closed − DP| ≤ DP dropped + 1e-13 + ε·ln ℓ!. The last
+// term is the DP's own rounding: every pmf term's exponent carries
+// ln ℓ! ≈ 3660 at ℓ = 665, so one ulp of it moves the whole tail by
+// ~10⁻¹³ relative (measured: the DP is 1.7e-13 off the exact tail at
+// q = (0.55, 0.45), ℓ = 665; the closed form is within 2e-17).
+// TestBinaryLawVsBigFloat bounds the closed form alone at 1e-14.
 func TestFastPathsBitIdenticalToDP(t *testing.T) {
 	type tc struct {
 		q   []float64
@@ -200,6 +207,20 @@ func TestFastPathsBitIdenticalToDP(t *testing.T) {
 				ref.r = make([]float64, k)
 			}
 			r2, d2 := ref.evalGeneral(c.q, c.ell, mCut, stateCut, ref.r[:k])
+			pointMass := slices.Contains(c.q, 1)
+			if k == 2 && !pointMass {
+				if d1 != 0 {
+					t.Errorf("q=%v ℓ=%d tol=%g: closed form dropped %v, want 0", c.q, c.ell, tol, d1)
+				}
+				slack := 1e-13 + 0x1p-52*lnFact()[c.ell]
+				for j := range r1 {
+					if d := math.Abs(r1[j] - r2[j]); !(d <= d2+slack) {
+						t.Errorf("q=%v ℓ=%d tol=%g: r[%d] = %v (closed) vs %v (DP): |Δ| = %.3g > dropped %.3g + %.3g",
+							c.q, c.ell, tol, j, r1[j], r2[j], d, d2, slack)
+					}
+				}
+				continue
+			}
 			if d1 != d2 {
 				t.Errorf("q=%v ℓ=%d tol=%g: dropped %v (fast) vs %v (DP)", c.q, c.ell, tol, d1, d2)
 			}

@@ -33,7 +33,7 @@ func ChiSquareGoF(observed []int, expected []float64, minExpected float64, ddof 
 		return ChiSquareResult{}, fmt.Errorf("dist: ChiSquareGoF with no bins")
 	}
 	for i, e := range expected {
-		if e < 0 || math.IsNaN(e) {
+		if !(e >= 0 && e < math.Inf(1)) {
 			return ChiSquareResult{}, fmt.Errorf("dist: ChiSquareGoF with expected[%d]=%v", i, e)
 		}
 	}

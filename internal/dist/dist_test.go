@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -102,6 +103,83 @@ func TestRegIncBetaIdentities(t *testing.T) {
 	if RegIncBeta(2, 3, 0) != 0 || RegIncBeta(2, 3, 1) != 1 {
 		t.Error("endpoints wrong")
 	}
+	// A NaN parameter or point is rejected up front, not a NaN result
+	// or a non-converging fraction: a <= 0 alone would let a NaN shape
+	// through.
+	nan := math.NaN()
+	for _, c := range []struct {
+		name, want string
+		f          func()
+	}{
+		{"RegIncBeta(NaN, 2, 0.5)", "dist: RegIncBeta with", func() { RegIncBeta(nan, 2, 0.5) }},
+		{"RegIncBeta(2, NaN, 0.5)", "dist: RegIncBeta with", func() { RegIncBeta(2, nan, 0.5) }},
+		{"RegIncBeta(2, 3, NaN)", "dist: RegIncBeta with", func() { RegIncBeta(2, 3, nan) }},
+		{"RegIncBeta(0, 3, 0.5)", "dist: RegIncBeta with", func() { RegIncBeta(0, 3, 0.5) }},
+		{"RegIncBeta(2, -1, 0.5)", "dist: RegIncBeta with", func() { RegIncBeta(2, -1, 0.5) }},
+		{"regGammaQ(NaN, 1)", "dist: regGammaQ with", func() { regGammaQ(nan, 1) }},
+		{"regGammaQ(0, 1)", "dist: regGammaQ with", func() { regGammaQ(0, 1) }},
+		{"regGammaQ(2, NaN)", "dist: regGammaQ with", func() { regGammaQ(2, nan) }},
+		{"ChiSquareSurvival(NaN, 3)", "dist: regGammaQ with", func() { ChiSquareSurvival(nan, 3) }},
+	} {
+		if msg := panicMsg(c.f); !strings.HasPrefix(msg, c.want) {
+			t.Errorf("%s: panic %q, want one starting %q", c.name, msg, c.want)
+		}
+	}
+}
+
+// panicMsg returns the string f panics with, or "" when it returns.
+func panicMsg(f func()) (msg string) {
+	defer func() { msg, _ = recover().(string) }()
+	f()
+	return ""
+}
+
+// TestBetaCFNonConvergencePanics: a continued fraction still moving
+// after maxIter steps is a panic naming its arguments, never a silent
+// unconverged value. At a = b = 10¹² the fraction needs ~4.5·10⁴
+// steps.
+func TestBetaCFNonConvergencePanics(t *testing.T) {
+	msg := panicMsg(func() { RegIncBeta(1e12, 1e12, 0.5) })
+	if !strings.Contains(msg, "a=1e+12, b=1e+12, x=0.5") {
+		t.Fatalf("RegIncBeta(1e12, 1e12, 0.5): panic %q does not name (a, b, x)", msg)
+	}
+}
+
+// TestRegIncBetaConvergesOnCensusDomain sweeps the arguments of the
+// census engine's k = 2 Stage-2 law, I_q(h+1, ℓ−h) with h = ⌊ℓ/2⌋,
+// over every ℓ < 2¹⁴ (the lnFact table bound) and a q grid of mirrored
+// pairs (q, 1−q): a uniform grid, points 2⁻ᵉ from ½, and 10⁻¹²…10⁻⁶
+// tails. Every point must converge (betaCF panics otherwise) into
+// [0, 1], and at odd ℓ, where a = b, I_q + I_{1−q} = 1.
+func TestRegIncBetaConvergesOnCensusDomain(t *testing.T) {
+	var pairs [][2]float64
+	for i := 1; i <= 64; i++ {
+		pairs = append(pairs, [2]float64{float64(i) / 128, 1 - float64(i)/128})
+	}
+	for e := 2; e <= 52; e++ {
+		d := math.Ldexp(1, -e)
+		pairs = append(pairs, [2]float64{0.5 - d, 0.5 + d})
+	}
+	for _, p := range []float64{1e-12, 1e-9, 1e-6} {
+		pairs = append(pairs, [2]float64{p, 1 - p})
+	}
+	stride := 1
+	if testing.Short() {
+		stride = 7
+	}
+	for ell := 1; ell < 1<<14; ell += stride {
+		h := ell / 2
+		a, b := float64(h+1), float64(ell-h)
+		for _, pr := range pairs {
+			lo, hi := RegIncBeta(a, b, pr[0]), RegIncBeta(a, b, pr[1])
+			if !(0 <= lo && lo <= 1 && 0 <= hi && hi <= 1) {
+				t.Fatalf("ℓ=%d: I_%v = %v, I_%v = %v", ell, pr[0], lo, pr[1], hi)
+			}
+			if ell%2 == 1 && math.Abs(lo+hi-1) > 1e-13 {
+				t.Fatalf("ℓ=%d: I_%v + I_%v = %v, want 1", ell, pr[0], pr[1], lo+hi)
+			}
+		}
+	}
 }
 
 func TestChiSquareSurvivalKnownQuantiles(t *testing.T) {
@@ -176,6 +254,11 @@ func TestChiSquareGoFErrors(t *testing.T) {
 	}
 	if _, err := ChiSquareGoF([]int{1, 1}, []float64{1, 1}, 50, 0); err == nil {
 		t.Error("unpoolable bins accepted")
+	}
+	// An infinite expected count would make the statistic NaN, which
+	// the chi-square tail rejects by panicking: it is an input error.
+	if _, err := ChiSquareGoF([]int{10, 10, 10}, []float64{10, math.Inf(1), 10}, 5, 0); err == nil {
+		t.Error("infinite expected count accepted")
 	}
 }
 

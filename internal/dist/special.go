@@ -131,10 +131,16 @@ func MultinomialLogPMF(x []int, probs []float64) float64 {
 }
 
 // RegIncBeta returns the regularized incomplete beta function
-// I_x(a, b), via the standard continued-fraction expansion.
+// I_x(a, b), via the standard continued-fraction expansion. Its
+// prefactor x^a·(1−x)^b/B(a, b) is evaluated in saddle-point form
+// (betaFront), so the absolute error stays at a few 10⁻¹⁵ for a, b
+// near 10³ and ≈3·10⁻¹⁴ at a = b ≈ 2¹³, x = ½; the Lgamma form loses
+// ~3·10⁻¹³ already near 10³. It panics on a or b that is not
+// positive, on a NaN x, and when the continued fraction does not
+// converge.
 func RegIncBeta(a, b, x float64) float64 {
-	if a <= 0 || b <= 0 {
-		panic(fmt.Sprintf("dist: RegIncBeta with a=%v b=%v", a, b))
+	if !(a > 0 && b > 0) || math.IsNaN(x) {
+		panic(fmt.Sprintf("dist: RegIncBeta with a=%v b=%v x=%v", a, b, x))
 	}
 	if x <= 0 {
 		return 0
@@ -142,21 +148,89 @@ func RegIncBeta(a, b, x float64) float64 {
 	if x >= 1 {
 		return 1
 	}
-	la, _ := math.Lgamma(a)
-	lb, _ := math.Lgamma(b)
-	lab, _ := math.Lgamma(a + b)
-	front := math.Exp(lab - la - lb + a*math.Log(x) + b*math.Log1p(-x))
+	front := betaFront(a, b, x)
 	if x < (a+1)/(a+b+2) {
 		return front * betaCF(a, b, x) / a
 	}
 	return 1 - front*betaCF(b, a, 1-x)/b
 }
 
+// betaFront returns x^a·(1−x)^b/B(a, b) for a, b > 0 and 0 < x < 1 in
+// Loader's saddle-point form: with N = a+b it is the binomial density
+// of a at (N, x) scaled by ab/N, i.e.
+//
+//	√(ab/(2πN)) · exp(δ(N) − δ(a) − δ(b) − bd0(a, Nx) − bd0(b, N(1−x))),
+//
+// where δ is the Stirling remainder (stirlerr) and bd0 the deviance.
+// Every term is small near the mode, so no digits cancel the way
+// ln Γ(N) − ln Γ(a) − ln Γ(b) + a·ln x + b·ln(1−x) does.
+func betaFront(a, b, x float64) float64 {
+	n := a + b
+	return math.Sqrt(a*b/(2*math.Pi*n)) *
+		math.Exp(stirlerr(n)-stirlerr(a)-stirlerr(b)-bd0(a, n*x)-bd0(b, n*(1-x)))
+}
+
+// stirlerr returns the Stirling remainder δ(z) = ln Γ(z+1) −
+// (z+½)·ln z + z − ½·ln(2π) for z > 0: the asymptotic series above 15,
+// lifted there from smaller z by δ(z) = δ(z+1) + (z+½)·ln(1+1/z) − 1.
+func stirlerr(z float64) float64 {
+	lift := 0.0
+	for ; z <= 15; z++ {
+		lift += (z+0.5)*math.Log1p(1/z) - 1
+	}
+	return lift + stirlerrSeries(z)
+}
+
+// stirlerrSeries is the asymptotic Stirling series of δ(z) for z > 15
+// to five terms; the first one dropped is below 3·10⁻¹⁶ there.
+func stirlerrSeries(z float64) float64 {
+	const (
+		s0 = 1.0 / 12
+		s1 = 1.0 / 360
+		s2 = 1.0 / 1260
+		s3 = 1.0 / 1680
+		s4 = 1.0 / 1188
+	)
+	zz := z * z
+	return (s0 - (s1-(s2-(s3-s4/zz)/zz)/zz)/zz) / z
+}
+
+// bd0 returns the deviance term x·ln(x/m) + m − x for x, m > 0, by
+// its series in v = (x−m)/(x+m) when |v| < 1/10, where the direct
+// form cancels.
+func bd0(x, m float64) float64 {
+	if math.Abs(x-m) < 0.1*(x+m) {
+		v := (x - m) / (x + m)
+		s := (x - m) * v
+		ej := 2 * x * v
+		v *= v
+		for j := 3.0; ; j += 2 {
+			ej *= v
+			s1 := s + ej/j
+			if s1 == s {
+				return s
+			}
+			s = s1
+		}
+	}
+	return x*math.Log(x/m) + m - x
+}
+
 // betaCF evaluates the continued fraction of the incomplete beta
-// function by the modified Lentz method.
+// function by the modified Lentz method. It panics when the fraction
+// has not converged after maxIter steps rather than return an
+// unconverged value. On the convergent side x < (a+1)/(a+b+2) the
+// step count grows like ∛max(a, b), worst near that switch point: at
+// most 132 over the census domain a, b ≤ 2¹³ and ~550 at a = b = 10⁶.
+// The cap of 10⁴ steps is first reached near a = b = 10¹⁰, far past
+// any subsample size ℓ = a+b−1 a schedule produces. (A cap of 300
+// would already panic near ℓ = 3·10⁵, which ε ≈ 0.01 schedules reach.
+// That the law converges there does not make such a census phase
+// right: its update probability, PoissonSurvival, still returns an
+// unconverged gamma series from ℓ ≈ 10⁴ on.)
 func betaCF(a, b, x float64) float64 {
 	const (
-		maxIter = 300
+		maxIter = 10000
 		eps     = 1e-15
 		fpmin   = 1e-300
 	)
@@ -197,17 +271,17 @@ func betaCF(a, b, x float64) float64 {
 		del := d * c
 		h *= del
 		if math.Abs(del-1) < eps {
-			break
+			return h
 		}
 	}
-	return h
+	panic(fmt.Sprintf("dist: betaCF(a=%v, b=%v, x=%v) did not converge in %d steps", a, b, x, maxIter))
 }
 
 // regGammaQ returns the upper regularized incomplete gamma function
 // Q(a, x) = Γ(a, x)/Γ(a): the chi-square tail Pr(X²_{2a} > 2x).
 func regGammaQ(a, x float64) float64 {
-	if a <= 0 {
-		panic(fmt.Sprintf("dist: regGammaQ with a=%v", a))
+	if !(a > 0) || math.IsNaN(x) {
+		panic(fmt.Sprintf("dist: regGammaQ with a=%v x=%v", a, x))
 	}
 	if x < 0 {
 		return 1

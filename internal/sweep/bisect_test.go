@@ -80,8 +80,20 @@ func TestBisectConvergesToAnalyticThreshold(t *testing.T) {
 	if !res.Contains(lpb) {
 		t.Fatalf("critical band [%v, %v] does not contain the LP boundary %v", res.BandLo, res.BandHi, lpb)
 	}
-	if res.ErrorBudget <= 0 || res.ErrorBudget > 1e-3 {
-		t.Fatalf("bisection truncation budget %v, want small but positive", res.ErrorBudget)
+	// The exact k = 2 Stage-2 law is a closed form that truncates
+	// nothing, so this bisection's budget is exactly zero; the
+	// budget-wiring positivity check runs on a quantized bisection.
+	if res.ErrorBudget != 0 {
+		t.Fatalf("exact k = 2 bisection budget %v, want 0", res.ErrorBudget)
+	}
+	qb := testBisect(24)
+	qb.LawQuant = 1e-6
+	qres, err := Runner{Seed: 5}.RunBisect(qb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qres.ErrorBudget <= 0 || qres.ErrorBudget > 1e-3 {
+		t.Fatalf("quantized bisection budget %v, want small but positive", qres.ErrorBudget)
 	}
 	// Wilson early stopping must actually save trials on the evals far
 	// from the threshold.

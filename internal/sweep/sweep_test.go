@@ -234,9 +234,22 @@ func TestPerNodeCrossCheckEngine(t *testing.T) {
 		if engine == "B" && res.ErrorBudget != 0 {
 			t.Fatalf("per-node engine reported truncation budget %v", res.ErrorBudget)
 		}
-		if engine == "census" && res.ErrorBudget <= 0 {
-			t.Fatal("census point reported zero truncation budget; the wiring is broken")
+		// The exact k = 2 law is a closed form: nothing is truncated.
+		if engine == "census" && res.ErrorBudget != 0 {
+			t.Fatalf("exact k = 2 census point reported truncation budget %v, want 0", res.ErrorBudget)
 		}
+	}
+	// The budget wiring is checked where the law still truncates: the
+	// k = 3 rival DP.
+	p := base
+	p.K, p.Engine = 3, "census"
+	r := Runner{Seed: 11, Workers: 2}
+	res, err := r.evalPoint(p, r.newTrialRunners(r.workers()))
+	if err != nil {
+		t.Fatalf("k = 3 census: %v", err)
+	}
+	if res.ErrorBudget <= 0 {
+		t.Fatal("k = 3 census point reported zero truncation budget; the wiring is broken")
 	}
 }
 
